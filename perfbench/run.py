@@ -17,8 +17,6 @@ import os
 import sys
 import time
 
-_T0 = time.perf_counter()
-
 # One BLAS/OpenMP thread, pinned before numpy is first imported: at these
 # matrix sizes thread spawning costs more than it saves.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -26,6 +24,7 @@ for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -33,6 +32,7 @@ import platform  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -43,16 +43,19 @@ WORKLOADS = ("pretrain", "finetune", "infer")
 # pretrain: one run_pretrain call per request, saving on criterion 8's cadence.
 PRETRAIN_STEPS = 40
 CHECKPOINT_EVERY = 20
-# finetune: criterion 7's 800:300:500 step ratio scaled by 0.2, except that
-# retrieval gets 100 steps: at 60 its loss can stall (seed 7), and at 160
-# pair_classify's is the shortest run that leaves its log-2 plateau on every
-# seed tried (seed 24).
-FINETUNE_STEPS = {"pair_classify": 160, "retrieval": 100, "generation": 100}
+# finetune: (steps, learning rate) per task, the fewest steps whose loss fell
+# on every seed tried. Retrieval needs 100: at 60 its loss can stall (seed 7).
+# pair_classify runs at 1e-2, because at the desk config's 1e-3 its loss can
+# stay at log 2 for more than 100 steps (seed 24).
+FINETUNE = {"pair_classify": (40, 1e-2), "retrieval": (100, 1e-3),
+            "generation": (40, 1e-3)}
 # infer: fine-tune steps tried in set-up until criterion 7's gates hold.
 INFER_PREP_STEPS = {"pair_classify": (16,), "retrieval": (150, 300, 600),
                     "generation": (150, 300, 600)}
 TASKS = ("pair_classify", "retrieval", "generation")
 SETUP_REPEATS = 3
+# fresh interpreters whose import time is the import part of setup_s
+IMPORT_REPEATS = 9
 
 
 class CheckFailed(Exception):
@@ -116,6 +119,29 @@ def git_revision() -> str:
 # workloads
 # ---------------------------------------------------------------------------
 
+class CheckpointCounter:
+    """Counts checkpoint writes and reads, in every run, traced or not.
+
+    Each function is wrapped both where ``harness`` looks it up and in
+    ``checkpoint`` itself, so a caller that switches between the two is
+    still counted, and a call is counted once.
+    """
+
+    def __init__(self, dp):
+        self.writes = self.reads = 0
+        for module in (dp.harness, dp.checkpoint):
+            module.save_checkpoint = self._counted(module.save_checkpoint,
+                                                   "writes")
+            module.load_checkpoint = self._counted(module.load_checkpoint,
+                                                   "reads")
+
+    def _counted(self, fn, attr):
+        def counted(*args, **kwargs):
+            setattr(self, attr, getattr(self, attr) + 1)
+            return fn(*args, **kwargs)
+        return counted
+
+
 class Workload:
     """Set-up plus a unit of fixed work made of one or more requests.
 
@@ -123,8 +149,11 @@ class Workload:
     checkpoints the workload serves or starts from. ``run_unit`` returns one
     record per request: [latency_s, items, attempted, problems].
     ``unit_counts`` is the work the unit did, which must repeat bit for bit
-    from unit to unit.
+    from unit to unit. ``CHECKPOINTS`` is the (writes, reads) that the
+    requests of one unit must make.
     """
+
+    CHECKPOINTS = (0, 0)
 
     def __init__(self, dp, seed: int, work: Path):
         self.dp = dp
@@ -132,14 +161,38 @@ class Workload:
         self.work = work
         self.loss_end = None
         self.unit_digest = None
+        self.gen_s = 0.0
+        self.begin_unit()
 
     def prepare(self):
         pass
 
+    def gen_corpus(self, spec, seed):
+        t0 = time.perf_counter()
+        corpus = self.dp.corpus.gen_corpus(spec, seed)
+        self.gen_s += time.perf_counter() - t0
+        return corpus
+
+    def begin_unit(self):
+        self.unit_counts = {"checkpoint.writes": 0, "checkpoint.reads": 0}
+
+    def checkpoint_problems(self):
+        done = (self.unit_counts["checkpoint.writes"],
+                self.unit_counts["checkpoint.reads"])
+        if done != self.CHECKPOINTS:
+            return [f"unit wrote and read {done} checkpoints, "
+                    f"not {self.CHECKPOINTS}"]
+        return []
+
     def _request(self, fn, *args, **kwargs):
+        io = self.dp.checkpoint_io
+        writes, reads = io.writes, io.reads
         t0 = time.perf_counter()
         result = fn(*args, **kwargs)
-        return time.perf_counter() - t0, result
+        latency = time.perf_counter() - t0
+        self.unit_counts["checkpoint.writes"] += io.writes - writes
+        self.unit_counts["checkpoint.reads"] += io.reads - reads
+        return latency, result
 
     def check_repeat(self, unit_digest, problems):
         if self.unit_digest is None:
@@ -149,12 +202,15 @@ class Workload:
 
 
 class Pretrain(Workload):
+    # the initial and final saves plus one every CHECKPOINT_EVERY steps
+    CHECKPOINTS = (2 + PRETRAIN_STEPS // CHECKPOINT_EVERY, 0)
+
     def setup(self):
         dp = self.dp
         self.config = dp.ModelConfig(steps=PRETRAIN_STEPS,
                                      checkpoint_every=CHECKPOINT_EVERY,
                                      seed=self.seed)
-        self.corpus = dp.corpus.gen_corpus(
+        self.corpus = self.gen_corpus(
             dp.CorpusSpec.from_model_config(self.config), self.seed)
 
     def run_unit(self, i):
@@ -183,17 +239,16 @@ class Pretrain(Workload):
         self.check_repeat(digest(ckpt, metrics), problems)
         shutil.rmtree(out)
         steps = len(rows)
-        self.unit_counts = {"steps": steps,
-                            "items": steps * min(config.batch_size,
-                                                 len(self.corpus))}
-        return [[latency, self.unit_counts["items"], steps, problems]]
+        items = steps * min(config.batch_size, len(self.corpus))
+        self.unit_counts.update(steps=steps, items=items)
+        return [[latency, items, steps, problems]]
 
 
 class _TaskCorpora(Workload):
     def setup(self):
         dp, seed = self.dp, self.seed
         self.config = dp.ModelConfig(seed=seed)
-        gen = dp.corpus.gen_corpus
+        gen = self.gen_corpus
         # criterion 7's corpora: the 32-pair corpus, a 16-pair retrieval
         # fixture and a 4-pair caption fixture
         self.corpora = {
@@ -208,24 +263,28 @@ class _TaskCorpora(Workload):
             self.backbone, self.config,
             dp.harness.gather_state(model, pools, heads))
 
-    def finetune(self, task, out, steps):
+    def finetune(self, task, out, steps, lr=None):
         """One run_finetune request: (latency, checkpoint paths, losses)."""
+        config = self.config if lr is None else dataclasses.replace(
+            self.config, lr=lr)
         latency, (ckpt, metrics) = self._request(
-            self.dp.harness.run_finetune, self.config, self.corpora[task],
+            self.dp.harness.run_finetune, config, self.corpora[task],
             self.backbone, task, out, steps=steps)
         return latency, ckpt, metrics, read_losses(metrics)
 
 
 class Finetune(_TaskCorpora):
+    # each task loads the backbone and saves its fine-tuned checkpoint
+    CHECKPOINTS = (len(TASKS), len(TASKS))
+
     def run_unit(self, i):
         """One request: fine-tune the backbone for all three tasks. Its
         latency is the sum of the three run_finetune calls."""
         out = self.work / f"finetune-{i}"
         latency, items, problems, paths, finals = 0.0, 0, [], [], []
-        self.unit_counts = {}
         for task in TASKS:
-            steps = FINETUNE_STEPS[task]
-            took, ckpt, metrics, losses = self.finetune(task, out, steps)
+            steps, lr = FINETUNE[task]
+            took, ckpt, metrics, losses = self.finetune(task, out, steps, lr)
             latency += took
             if len(losses) != steps:
                 problems.append(f"{task}: {len(losses)} loss rows, not {steps}")
@@ -243,10 +302,14 @@ class Finetune(_TaskCorpora):
         self.loss_end = sum(finals) / len(finals)
         self.check_repeat(digest(*paths), problems)
         shutil.rmtree(out)
-        return [[latency, items, sum(FINETUNE_STEPS.values()), problems]]
+        return [[latency, items, sum(s for s, _ in FINETUNE.values()),
+                 problems]]
 
 
 class Infer(_TaskCorpora):
+    # each request loads its checkpoint
+    CHECKPOINTS = (0, len(TASKS))
+
     def prepare(self):
         """Fine-tune one checkpoint per task from the untrained backbone
         until criterion 7's gates hold."""
@@ -284,19 +347,20 @@ class Infer(_TaskCorpora):
     def run_unit(self, i):
         dp = self.dp
         out = self.work / f"infer-{i}"
-        records = []
-        self.unit_counts = {}
+        records, paths = [], []
         for task in TASKS:
             corpus = self.corpora[task]
-            latency, (_, results) = self._request(
+            latency, (metrics, results) = self._request(
                 dp.harness.run_eval, self.config, corpus,
                 self.checkpoints[task], task, out)
             problems = self.gate_problems(task, results)
             if task == "pair_classify" and results["accuracy"] != self.accuracy:
                 problems.append(f"pair_classify accuracy {results['accuracy']} "
                                 f"differs from {self.accuracy}")
+            paths.append(metrics)
             if task == "generation":
-                pred = (out / "eval_generation_predictions.jsonl").read_text()
+                paths.append(out / "eval_generation_predictions.jsonl")
+                pred = paths[-1].read_text()
                 rows = [json.loads(line) for line in pred.splitlines()]
                 decoded = sum(len(r["prediction"]) for r in rows)
                 expected = sum(min(len(p.tokens), self.config.max_gen_len)
@@ -307,6 +371,7 @@ class Infer(_TaskCorpora):
                 self.unit_counts["generation.decoded_tokens"] = decoded
             self.unit_counts[f"{task}.items"] = len(corpus)
             records.append([latency, len(corpus), 1, problems])
+        self.check_repeat(digest(*paths), records[-1][3])
         shutil.rmtree(out)
         return records
 
@@ -328,6 +393,7 @@ class Phase:
 
     def run_unit(self, workload: Workload, i: int, exact_counts=None) -> bool:
         """Run unit ``i`` and check it; False if it raised."""
+        workload.begin_unit()
         try:
             records = workload.run_unit(i)
         except Exception:  # a failing request ends the run, reported
@@ -342,17 +408,19 @@ class Phase:
         self.unit_counts.append(counts)
         self.units += 1
         self.unit_times.append(sum(r[0] for r in records))
+        # a wrong count fails every request of the unit
+        unit_problems = workload.checkpoint_problems()
+        if counts != self.unit_counts[0]:
+            unit_problems.append(f"unit {i} work counts {counts} differ from "
+                                 f"the first unit's {self.unit_counts[0]}")
+        self.problems += unit_problems
         for latency, items, attempted, problems in records:
             self.latencies.append(latency)
             self.items += items
             self.attempted += attempted
-            if problems:
+            if problems or unit_problems:
                 self.failed += attempted
                 self.problems += problems
-        if counts != self.unit_counts[0]:
-            self.problems.append(f"unit {i} work counts {counts} differ "
-                                 f"from the first unit's {self.unit_counts[0]}")
-            self.failed += 1
         return True
 
     @property
@@ -377,19 +445,10 @@ class TracedRun:
     EXACT_CALLS = ("pools.select_prompts", "encoder.forward",
                    "checkpoint.save", "checkpoint.load")
 
-    def __init__(self, dp, cls, seed, work):
+    def __init__(self, dp):
         from tracing import Tracer
         self.dp = dp
         self.tracer = Tracer()
-        self.tracer.install()
-        try:
-            setup = cls(dp, seed, work / "setup-traced")
-            setup.work.mkdir(parents=True)
-            setup.setup()
-            self.setup_gen_s = self.tracer.incl("corpus.gen_corpus")
-        finally:
-            self.tracer.uninstall()
-        self.tracer.reset_totals()
         self.degenerate = 0
         self._seen = {}
 
@@ -453,10 +512,34 @@ def import_package():
     from dynaprompt.config import ModelConfig
     from dynaprompt.corpus import CorpusSpec
     from dynaprompt.ndtensor import flags
-    return SimpleNamespace(numpy=numpy, scipy=scipy,
-                           checkpoint=checkpoint, corpus=corpus,
-                           harness=harness, ModelConfig=ModelConfig,
-                           CorpusSpec=CorpusSpec, flags=flags)
+    dp = SimpleNamespace(numpy=numpy, scipy=scipy,
+                         checkpoint=checkpoint, corpus=corpus,
+                         harness=harness, ModelConfig=ModelConfig,
+                         CorpusSpec=CorpusSpec, flags=flags)
+    dp.checkpoint_io = CheckpointCounter(dp)
+    return dp
+
+
+IMPORT_PROBE = """
+import sys, time
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import numpy, scipy
+from dynaprompt import checkpoint, corpus, harness
+print(time.perf_counter() - t0)
+"""
+
+
+def import_seconds() -> float:
+    """Median time to import numpy, scipy and the package in a fresh
+    interpreter; one import per process is too noisy a sample."""
+    times = []
+    for _ in range(IMPORT_REPEATS):
+        probe = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(ROOT / "src")],
+            capture_output=True, text=True, check=True, timeout=60)
+        times.append(float(probe.stdout.split()[-1]))
+    return statistics.median(times)
 
 
 def environment(dp, args):
@@ -484,7 +567,8 @@ def end_to_end(phase, setup_s):
     }
 
 
-def per_layer(traced: TracedRun, phase: Phase, untraced: Phase, loss_end):
+def per_layer(traced: TracedRun, phase: Phase, untraced: Phase, loss_end,
+              gen_s):
     from tracing import BATCH_SPANS, LAYERS, REPORTED_OPS
 
     tracer = traced.tracer
@@ -535,7 +619,7 @@ def per_layer(traced: TracedRun, phase: Phase, untraced: Phase, loss_end):
         "checkpoint.bytes": (tracer.counts["checkpoint.bytes"] / n, "B"),
         "harness.batch_ms": (batch_s * ms, "ms"),
         "harness.loss_end": (loss_end, "nats"),
-        "corpus.gen_ms": (traced.setup_gen_s * 1e3, "ms"),
+        "corpus.gen_ms": (gen_s * 1e3, "ms"),
     })
     for layer in LAYERS:
         own = layer_self[layer] - (batch_s if layer == "harness" else 0.0)
@@ -545,9 +629,9 @@ def per_layer(traced: TracedRun, phase: Phase, untraced: Phase, loss_end):
         "harness.steps_per_unit": (steps / units, "count"),
         "harness.items_per_unit": (phase.items / units, "count"),
         "checkpoint.writes_per_unit": (
-            tracer.n_calls("checkpoint.save") / units, "count"),
+            phase.unit_counts[0]["checkpoint.writes"], "count"),
         "checkpoint.reads_per_unit": (
-            tracer.n_calls("checkpoint.load") / units, "count"),
+            phase.unit_counts[0]["checkpoint.reads"], "count"),
         "adaptation.decoded_tokens_per_unit": (
             phase.unit_counts[0].get("generation.decoded_tokens", 0), "count"),
         "trace.wall_ms": (phase.wall * ms, "ms"),
@@ -575,7 +659,6 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     dp = import_package()
-    import_s = time.perf_counter() - _T0
     env = environment(dp, args)
     print("env " + json.dumps(env, sort_keys=True))
 
@@ -584,13 +667,15 @@ def main(argv=None) -> int:
     attempted = failed = 0
     try:
         cls = WORKLOAD_CLASSES[args.workload]
-        setup_times = []
+        import_s = import_seconds()
+        setup_times, gen_times = [], []
         for r in range(SETUP_REPEATS):
             t0 = time.perf_counter()
             workload = cls(dp, args.seed, work / f"setup-{r}")
             workload.work.mkdir(parents=True)
             workload.setup()
             setup_times.append(time.perf_counter() - t0)
+            gen_times.append(workload.gen_s)
         t0 = time.perf_counter()
         workload.prepare()
         prep_s = time.perf_counter() - t0
@@ -598,7 +683,7 @@ def main(argv=None) -> int:
         print(f"setup: import {import_s:.3f} s, repeated part "
               f"{[round(t, 3) for t in setup_times]} s, prep {prep_s:.3f} s")
 
-        traced = TracedRun(dp, cls, args.seed, work) if args.trace else None
+        traced = TracedRun(dp) if args.trace else None
         phases = measure(workload, args.seconds, traced)
         warmup, untraced, traced_phase = phases
         if traced is None:
@@ -609,7 +694,8 @@ def main(argv=None) -> int:
                 if {k: counts[k] for k in first} != first:
                     problems.append("traced and untraced work counts differ")
             result_metrics = per_layer(traced, traced_phase, untraced,
-                                       workload.loss_end)
+                                       workload.loss_end,
+                                       statistics.median(gen_times))
             OUT_DIR.mkdir(exist_ok=True)
             traced.tracer.write(
                 OUT_DIR / f"trace-{args.workload}-seed{args.seed}.csv")

@@ -52,17 +52,13 @@ class Tracer:
         self._covered: list[float] = []
         self.request = -1
         self._patched: list[tuple[object, str, object]] = []
-        self.reset_totals()
-
-    # -- totals ---------------------------------------------------------------
-
-    def reset_totals(self):
-        """Start a new accounting window; recorded spans are kept."""
         self.self_s = defaultdict(float)
         self.incl_s = defaultdict(float)
         self.calls = defaultdict(int)
         self.counts = defaultdict(int)
         self._queries: set = set()
+
+    # -- totals ---------------------------------------------------------------
 
     def end_step(self):
         """Fold the distinct pool queries of the step that just ended."""
