@@ -3,14 +3,21 @@
 Layout (all integers little-endian):
 
     8 bytes   magic "UDCPCKPT"
-    u32       format version (currently 1)
+    u32       format version (currently 2)
     u64       tensor count
     per tensor, in ascending name order:
         u16   name length, then that many UTF-8 bytes
         u8    rank
         u64 * rank  extents
         f64 * prod(extents)  row-major payload
-    u64       FNV-1a (64-bit) checksum of every preceding byte
+    u64       checksum of every preceding byte: the 8-byte blake2b digest
+              for version 2, 64-bit FNV-1a for version 1
+
+Version 1 files stay loadable; saves always write version 2.  The two
+versions differ only in the version field and the trailer's hash, which the
+loader picks from the version before it verifies anything.  A save goes to
+a temporary file in the target's directory that is fsynced and renamed over
+the target, so a crash mid-write leaves the previous checkpoint intact.
 
 The config snapshot rides along as the reserved tensor "__config__": its
 UTF-8 JSON bytes stored one byte per f64 element, which keeps the container
@@ -19,7 +26,10 @@ format uniform.  Usage counters are stored as f64 (exact below 2**53).
 
 from __future__ import annotations
 
+import hashlib
 import io
+import os
+import secrets
 import struct
 
 import numpy as np
@@ -27,11 +37,11 @@ import numpy as np
 from .config import ModelConfig
 from .pools import IntegrityError
 
-__all__ = ["save_checkpoint", "load_checkpoint", "fnv1a64",
+__all__ = ["save_checkpoint", "load_checkpoint", "fnv1a64", "blake2b64",
            "MAGIC", "VERSION", "CONFIG_KEY"]
 
 MAGIC = b"UDCPCKPT"
-VERSION = 1
+VERSION = 2
 CONFIG_KEY = "__config__"
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -45,6 +55,18 @@ def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+def blake2b64(data: bytes) -> int:
+    """The 8-byte blake2b digest of ``data`` read as a little-endian u64."""
+    digest = hashlib.blake2b(data, digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+# trailer hash of each readable format version
+_CHECKSUMS = {1: fnv1a64, 2: blake2b64}
+_HEADER = len(MAGIC) + 4 + 8  # magic, version, tensor count
+_TRAILER = 8
 
 
 def _config_tensor(config: ModelConfig) -> np.ndarray:
@@ -83,26 +105,58 @@ def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray]):
         for extent in arr.shape:
             buf.write(struct.pack("<Q", extent))
         buf.write(arr.astype("<f8").tobytes())
-    payload = buf.getvalue()
-    checksum = fnv1a64(payload)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<Q", checksum))
+    buf.write(struct.pack("<Q", blake2b64(buf.getvalue())))
+    _write_atomic(path, buf.getvalue())
+
+
+def _write_atomic(path, data):
+    """Replace ``path`` with ``data`` so that a crash leaves old or new bytes.
+
+    The bytes go to a temporary file in the same directory, which is flushed
+    and fsynced, renamed over ``path``, and the directory is fsynced so the
+    rename itself is durable.  On any failure the temporary file is removed
+    and the exception propagates; ``path`` is then untouched.
+    """
+    path = os.fspath(path)
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass  # never created, or already renamed over path
+        raise
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    """Read and checksum-verify a checkpoint; returns (config, tensors)."""
+    """Read and verify a v1 or v2 checkpoint; returns (config, tensors)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(MAGIC) + 4 + 8 + 8:
+    if len(blob) < _HEADER + _TRAILER:
         raise IntegrityError("checkpoint truncated")
-    payload, trailer = blob[:-8], blob[-8:]
-    (stored,) = struct.unpack("<Q", trailer)
-    if fnv1a64(payload) != stored:
+    if blob[:len(MAGIC)] != MAGIC:
+        raise IntegrityError("bad checkpoint magic")
+    version, count = struct.unpack_from("<IQ", blob, len(MAGIC))
+    checksum = _CHECKSUMS.get(version)
+    if checksum is None:
+        raise IntegrityError(f"unsupported checkpoint version {version}")
+    view = memoryview(blob)[:-_TRAILER]
+    (stored,) = struct.unpack_from("<Q", blob, len(view))
+    if checksum(view) != stored:
         raise IntegrityError("checkpoint checksum mismatch")
 
-    view = memoryview(payload)
-    off = 0
+    off = _HEADER
 
     def take(n):
         nonlocal off
@@ -111,13 +165,6 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         chunk = view[off:off + n]
         off += n
         return chunk
-
-    if bytes(take(8)) != MAGIC:
-        raise IntegrityError("bad checkpoint magic")
-    (version,) = struct.unpack("<I", take(4))
-    if version != VERSION:
-        raise IntegrityError(f"unsupported checkpoint version {version}")
-    (count,) = struct.unpack("<Q", take(8))
 
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -29,7 +29,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig, PAD_ID
 from .corpus import CorpusSpec, SyntheticCorpus, gen_corpus
 from .encoder import UnifiedBatch, VisionLanguageModel, assembled_attention_mask
-from .ndtensor import NumericError, no_grad
+from .ndtensor import no_grad
 from .objectives import PretrainHeads, PretrainLossReport, pretrain_step
 from .optim import AdamW
 from .pools import PromptPools
@@ -178,14 +178,17 @@ class MetricsWriter:
         self._writer = csv.writer(self._fh)
         self._writer.writerow(header)
 
+    def write_row(self, row):
+        self._writer.writerow(row)
+
     def write_pretrain_row(self, step: int, report: PretrainLossReport, lr: float):
-        self._writer.writerow([step, repr(report.l_mlm), repr(report.l_itm),
-                               repr(report.l_itc), repr(report.l_p),
-                               repr(report.l_total), report.masked_token_count,
-                               repr(lr)])
+        self.write_row([step, repr(report.l_mlm), repr(report.l_itm),
+                        repr(report.l_itc), repr(report.l_p),
+                        repr(report.l_total), report.masked_token_count,
+                        repr(lr)])
 
     def write_eval_row(self, task: str, metric: str, value: float):
-        self._writer.writerow([task, metric, repr(float(value))])
+        self.write_row([task, metric, repr(float(value))])
 
     def close(self):
         self._fh.close()
@@ -255,12 +258,9 @@ def run_pretrain(config: ModelConfig, corpus: SyntheticCorpus, out_dir):
                                 shuffle_rng):
             batch = batch_from_pairs([corpus.pairs[i] for i in idx], config,
                                      "image_text")
-            try:
-                report = pretrain_step(batch, model, pools, heads, optimizer,
-                                       config, mlm_rng)
-            except NumericError:
-                # last-good checkpoint stays on disk
-                raise
+            # a NumericError propagates; the last-good checkpoint stays on disk
+            report = pretrain_step(batch, model, pools, heads, optimizer,
+                                   config, mlm_rng)
             step += 1
             writer.write_pretrain_row(step, report, config.lr)
             if config.checkpoint_every and step % config.checkpoint_every == 0:
@@ -320,7 +320,7 @@ def run_finetune(config: ModelConfig, corpus: SyntheticCorpus, checkpoint_path,
             tb = _task_batch([corpus.pairs[i] for i in idx], config, task)
             loss = finetune_step(tb, model, pools, head, optimizer, config)
             step += 1
-            writer._writer.writerow([step, repr(loss)])
+            writer.write_row([step, repr(loss)])
     save_checkpoint(ckpt_path, config,
                     gather_state(model, pools, heads=None, head=head))
     return ckpt_path, metrics_path

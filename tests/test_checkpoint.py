@@ -1,5 +1,7 @@
 """Checkpoint container: byte layout, checksum, bit-exact round trips."""
 
+import hashlib
+import os
 import struct
 
 import numpy as np
@@ -9,12 +11,40 @@ from dynaprompt.checkpoint import (
     CONFIG_KEY,
     MAGIC,
     VERSION,
+    blake2b64,
     fnv1a64,
     load_checkpoint,
     save_checkpoint,
 )
 from dynaprompt.config import ModelConfig
 from dynaprompt.pools import IntegrityError
+
+
+def _v1_blob(config, tensors, magic=MAGIC):
+    """A version-1 file built independently of save_checkpoint."""
+    raw_config = config.to_json().encode("utf-8")
+    entries = dict(tensors)
+    entries[CONFIG_KEY] = np.frombuffer(raw_config, np.uint8).astype("<f8")
+    parts = [magic, struct.pack("<IQ", 1, len(entries))]
+    for name in sorted(entries):
+        arr = np.asarray(entries[name], dtype="<f8")
+        raw_name = name.encode("utf-8")
+        parts += [struct.pack("<H", len(raw_name)), raw_name,
+                  struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.tobytes()]
+    body = b"".join(parts)
+    return body + struct.pack("<Q", fnv1a64(body))
+
+
+def _blake2b_trailer(body):
+    return hashlib.blake2b(body, digest_size=8).digest()
+
+
+def _assert_state_equal(tensors, expected):
+    assert set(tensors) == set(expected)
+    for name, arr in expected.items():
+        assert tensors[name].shape == arr.shape
+        np.testing.assert_array_equal(tensors[name], arr)
 
 
 @pytest.fixture
@@ -71,14 +101,64 @@ class TestRoundTrip:
 
 class TestIntegrity:
     def test_header_layout(self, tmp_path, sample_state):
+        # v1: FNV-1a trailer; v2 keeps every other byte of the layout
+        blob = _v1_blob(ModelConfig(), sample_state)
+        assert blob[:8] == MAGIC
+        assert struct.unpack("<I", blob[8:12])[0] == 1
+        count = struct.unpack("<Q", blob[12:20])[0]
+        assert count == len(sample_state) + 1  # + config snapshot
+        assert fnv1a64(blob[:-8]) == struct.unpack("<Q", blob[-8:])[0]
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, ModelConfig(), sample_state)
+        v2 = path.read_bytes()
+        assert len(v2) == len(blob)
+        assert v2[:8] == blob[:8] and v2[12:-8] == blob[12:-8]
+
+    def test_header_layout_v2(self, tmp_path, sample_state):
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, ModelConfig(), sample_state)
         blob = path.read_bytes()
         assert blob[:8] == MAGIC
-        assert struct.unpack("<I", blob[8:12])[0] == VERSION
+        assert struct.unpack("<I", blob[8:12])[0] == VERSION == 2
         count = struct.unpack("<Q", blob[12:20])[0]
         assert count == len(sample_state) + 1  # + config snapshot
-        assert fnv1a64(blob[:-8]) == struct.unpack("<Q", blob[-8:])[0]
+        assert blob[-8:] == _blake2b_trailer(blob[:-8])
+        assert blake2b64(blob[:-8]) == struct.unpack("<Q", blob[-8:])[0]
+
+    def test_v1_round_trips_bit_exact(self, tmp_path, sample_state):
+        path = tmp_path / "x.ckpt"
+        config = ModelConfig(d_hidden=32, n_heads=2, seed=99, lambda_=0.55)
+        path.write_bytes(_v1_blob(config, sample_state))
+        loaded_config, tensors = load_checkpoint(path)
+        _assert_state_equal(tensors, sample_state)
+        assert loaded_config.to_dict() == config.to_dict()
+
+    def test_v1_corrupted_payload_detected(self, tmp_path, sample_state):
+        path = tmp_path / "x.ckpt"
+        blob = bytearray(_v1_blob(ModelConfig(), sample_state))
+        blob[40] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_flipped_trailer_detected(self, tmp_path, sample_state):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, ModelConfig(), sample_state)
+        blob = bytearray(path.read_bytes())
+        blob[-3] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_unknown_version_rejected_before_hashing(self, tmp_path,
+                                                      sample_state):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, ModelConfig(), sample_state)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 3)  # trailer left stale on purpose
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match="unsupported"):
+            load_checkpoint(path)
 
     def test_corrupted_payload_detected(self, tmp_path, sample_state):
         path = tmp_path / "x.ckpt"
@@ -99,15 +179,47 @@ class TestIntegrity:
 
     def test_bad_magic_detected(self, tmp_path, sample_state):
         path = tmp_path / "x.ckpt"
+        # the checksum is consistent, so the magic check itself fires
+        blob = _v1_blob(ModelConfig(), sample_state, magic=b"XDCPCKPT")
+        path.write_bytes(blob)
+        with pytest.raises(IntegrityError, match="magic"):
+            load_checkpoint(path)
+
+    def test_bad_magic_detected_v2(self, tmp_path, sample_state):
+        path = tmp_path / "x.ckpt"
         save_checkpoint(path, ModelConfig(), sample_state)
         blob = bytearray(path.read_bytes())
         blob[0] = ord("X")
         # keep the checksum consistent so the magic check itself fires
         body = bytes(blob[:-8])
-        path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+        path.write_bytes(body + _blake2b_trailer(body))
         with pytest.raises(IntegrityError, match="magic"):
             load_checkpoint(path)
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "nope.ckpt")
+
+
+class TestCrashSafeWrite:
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch,
+                                                   sample_state, failing):
+        path = tmp_path / "x.ckpt"
+        config = ModelConfig()
+        save_checkpoint(path, config, sample_state)
+        first = path.read_bytes()
+
+        def fail(*args):
+            raise OSError(f"simulated {failing} failure")
+
+        monkeypatch.setattr(os, failing, fail)
+        newer = {name: arr + 1.0 for name, arr in sample_state.items()}
+        with pytest.raises(OSError, match="simulated"):
+            save_checkpoint(path, config, newer)
+        monkeypatch.undo()
+
+        assert os.listdir(tmp_path) == ["x.ckpt"]  # no temp file left
+        assert path.read_bytes() == first
+        _, tensors = load_checkpoint(path)
+        _assert_state_equal(tensors, sample_state)
