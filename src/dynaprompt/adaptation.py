@@ -4,8 +4,8 @@ Every task reuses the pre-trained backbone with dynamic prompt selection
 exactly as in pre-training; uni-modal batches take the contrary-modality
 prompt path.  Heads start with zero output layers so an untrained classifier
 emits a uniform distribution.  The caption decoder is a causal self-attention
-stack (no cross-attention sublayers): encoder image states concatenated with
-the selected textual prompt tokens form its prefix.
+stack without cross-attention: encoder image states concatenated with the
+selected textual prompt tokens form its prefix.
 """
 
 from __future__ import annotations
@@ -22,21 +22,22 @@ from .optim import AdamW
 from .pools import PromptPools
 
 __all__ = [
-    "TaskHead", "DecoderConfig", "CaptionDecoder", "LabeledBatch",
+    "TASKS", "CLASSIFY_KIND", "TaskHead", "CaptionDecoder", "LabeledBatch",
     "CaptionBatch", "RetrievalResult", "classify", "finetune_loss",
     "finetune_step", "retrieval_rank", "generate_report", "caption_loss",
     "encode_retrieval_reps",
 ]
 
-TASKS = ("vqa", "pair_classify", "image_classify", "text_classify",
-         "retrieval", "generation")
-
-_TASK_KIND = {
+# Each classification task and the batch kind its head reads: image_text
+# heads see both [CLS] states, the others the one their modality provides.
+CLASSIFY_KIND = {
     "vqa": "image_text",
     "pair_classify": "image_text",
     "image_classify": "image_only",
     "text_classify": "text_only",
 }
+
+TASKS = (*CLASSIFY_KIND, "retrieval", "generation")
 
 
 @dataclass
@@ -51,48 +52,30 @@ class CaptionBatch:
     captions: list[list[int]]    # target token ids, no BOS/EOS
 
 
-@dataclass
-class DecoderConfig:
-    """Geometry of the causal caption decoder; never has cross-attention."""
-
-    n_layers: int = 2
-    n_heads: int = 4
-    context_len: int = 64
-    causal: bool = True
-
-    def __post_init__(self):
-        if not self.causal:
-            raise ConfigError("the caption decoder is always causal")
-
-    @classmethod
-    def from_model_config(cls, config: ModelConfig) -> "DecoderConfig":
-        return cls(n_layers=config.dec_layers, n_heads=config.dec_heads,
-                   context_len=config.dec_context)
-
-
 class CaptionDecoder:
-    """Causal prefix LM over the shared hidden width.
+    """Causal prefix LM over the shared hidden width; it has no
+    cross-attention, the image reaches it only through the prefix.
 
-    Self-attention layers are initialized from the unified encoder's layers
-    where shapes permit (same hidden width / head count); token and position
-    tables are decoder-owned because the encoder's text embedding lives in a
-    different width.
+    ``dec_layers``, ``dec_heads`` and ``dec_context`` of the model config fix
+    its geometry.  Self-attention layers are initialized from the unified
+    encoder's layers where shapes permit (same hidden width / head count);
+    token and position tables are decoder-owned because the encoder's text
+    embedding lives in a different width.
     """
 
-    def __init__(self, dconfig: DecoderConfig, model_config: ModelConfig,
-                 rng: np.random.Generator,
+    def __init__(self, config: ModelConfig, rng: np.random.Generator,
                  encoder_layers: list[TransformerLayer] | None = None):
-        self.dconfig = dconfig
-        self.d_hidden = model_config.d_hidden
-        self.vocab_size = model_config.vocab_size
+        self.context_len = config.dec_context
+        self.d_hidden = config.d_hidden
+        self.vocab_size = config.vocab_size
         self.token_table = Tensor(
             rng.normal(0.0, 0.02, size=(self.vocab_size, self.d_hidden)),
             requires_grad=True)
         self.pos_table = Tensor(
-            rng.normal(0.0, 0.02, size=(dconfig.context_len, self.d_hidden)),
+            rng.normal(0.0, 0.02, size=(self.context_len, self.d_hidden)),
             requires_grad=True)
-        self.layers = [TransformerLayer(self.d_hidden, dconfig.n_heads, rng)
-                       for _ in range(dconfig.n_layers)]
+        self.layers = [TransformerLayer(self.d_hidden, config.dec_heads, rng)
+                       for _ in range(config.dec_layers)]
         self.out_w = Tensor(np.zeros((self.d_hidden, self.vocab_size)),
                             requires_grad=True)
         self.out_b = Tensor(np.zeros(self.vocab_size), requires_grad=True)
@@ -112,18 +95,15 @@ class CaptionDecoder:
             out.update(layer.parameters(f"{prefix}layers.{i}."))
         return out
 
-    def has_cross_attention(self) -> bool:
-        return False
-
     def forward_states(self, prefix_states: Tensor, token_ids: np.ndarray) -> Tensor:
         """Logits [B, T, vocab] for each token position (strictly causal)."""
         b, p, h = prefix_states.shape
         token_ids = np.asarray(token_ids)
         t = token_ids.shape[1]
         total = p + t
-        if total > self.dconfig.context_len:
+        if total > self.context_len:
             raise ConfigError(f"sequence {total} overflows decoder context "
-                              f"{self.dconfig.context_len}")
+                              f"{self.context_len}")
         tok = ops.embedding_lookup(self.token_table, token_ids)
         pos = ops.gather_rows(self.pos_table, np.arange(total))
         x = ops.add(ops.concat([prefix_states, tok], axis=1), pos)
@@ -148,10 +128,10 @@ class TaskHead:
         self.decoder = decoder
         self.params: dict[str, Tensor] = {}
         h = config.d_hidden
-        if task in ("vqa", "pair_classify", "image_classify", "text_classify"):
+        if task in CLASSIFY_KIND:
             if not label_space or label_space < 1:
                 raise ConfigError(f"{task} needs a positive label_space")
-            d_in = 2 * h if task in ("vqa", "pair_classify") else h
+            d_in = 2 * h if CLASSIFY_KIND[task] == "image_text" else h
             self.params["w"] = Tensor(np.zeros((d_in, label_space)),
                                       requires_grad=True)
             self.params["b"] = Tensor(np.zeros(label_space), requires_grad=True)
@@ -160,9 +140,7 @@ class TaskHead:
             self.params["proj_t"] = Tensor(np.eye(h), requires_grad=True)
         elif task == "generation":
             if decoder is None:
-                decoder = CaptionDecoder(DecoderConfig.from_model_config(config),
-                                         config, rng)
-                self.decoder = decoder
+                self.decoder = CaptionDecoder(config, rng)
 
     def parameters(self, prefix: str = "head.") -> dict[str, Tensor]:
         out = {f"{prefix}{k}": v for k, v in self.params.items()}
@@ -175,10 +153,18 @@ class TaskHead:
 # classification
 # ---------------------------------------------------------------------------
 
-def _head_logits(encoded, head: TaskHead) -> Tensor:
-    if head.task in ("vqa", "pair_classify"):
+def _classify_logits(model, pools, batch: UnifiedBatch, head: TaskHead) -> Tensor:
+    """Head logits [B, label_space] from the [CLS] state(s) of the task's kind."""
+    kind = CLASSIFY_KIND.get(head.task)
+    if kind is None:
+        raise ConfigError(f"task {head.task!r} is not a classification task")
+    if batch.kind != kind:
+        raise ConfigError(f"task {head.task!r} needs {kind!r} batches, "
+                          f"got {batch.kind!r}")
+    encoded, _ = model.forward(batch, pools)
+    if kind == "image_text":
         feats = ops.concat([encoded.cls_visual, encoded.cls_textual], axis=1)
-    elif head.task == "image_classify":
+    elif kind == "image_only":
         feats = encoded.cls_visual
     else:
         feats = encoded.cls_textual
@@ -188,14 +174,7 @@ def _head_logits(encoded, head: TaskHead) -> Tensor:
 def classify(model: VisionLanguageModel, pools: PromptPools,
              batch: UnifiedBatch, head: TaskHead) -> Tensor:
     """Label distribution [B, label_space] from the appropriate [CLS] state(s)."""
-    expected = _TASK_KIND.get(head.task)
-    if expected is None:
-        raise ConfigError(f"classify does not apply to task {head.task!r}")
-    if batch.kind != expected:
-        raise ConfigError(f"task {head.task!r} needs {expected!r} batches, "
-                          f"got {batch.kind!r}")
-    encoded, _ = model.forward(batch, pools)
-    return ops.softmax(_head_logits(encoded, head), axis=-1)
+    return ops.softmax(_classify_logits(model, pools, batch, head), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +280,9 @@ def generate_report(model, pools, decoder: CaptionDecoder,
     with no_grad():
         prefix = _image_prefix(model, pools, batch)
         p = prefix.shape[1]
-        if p + 1 + max_len > decoder.dconfig.context_len:
+        if p + 1 + max_len > decoder.context_len:
             raise ConfigError(f"prefix {p} + generation {max_len} overflows "
-                              f"decoder context {decoder.dconfig.context_len}")
+                              f"decoder context {decoder.context_len}")
         outputs = []
         for i in range(batch.size):
             row = ops.slice_axis(prefix, 0, i, i + 1)
@@ -324,14 +303,9 @@ def generate_report(model, pools, decoder: CaptionDecoder,
 
 def finetune_loss(model, pools, head: TaskHead, tbatch, config: ModelConfig) -> Tensor:
     """Frozen-forward evaluation of a task batch (no parameter update)."""
-    if head.task in _TASK_KIND:
-        batch, labels = tbatch.batch, tbatch.labels
-        expected = _TASK_KIND[head.task]
-        if batch.kind != expected:
-            raise ConfigError(f"task {head.task!r} needs {expected!r} batches, "
-                              f"got {batch.kind!r}")
-        encoded, _ = model.forward(batch, pools)
-        return ops.cross_entropy(_head_logits(encoded, head), labels)
+    if head.task in CLASSIFY_KIND:
+        logits = _classify_logits(model, pools, tbatch.batch, head)
+        return ops.cross_entropy(logits, tbatch.labels)
     if head.task == "retrieval":
         image_batch, text_batch = tbatch
         v, t = encode_retrieval_reps(model, pools, image_batch, text_batch, head)

@@ -18,7 +18,7 @@ import sys
 
 from .config import ConfigError, ModelConfig
 from .corpus import CorpusSpec, corpus_to_json, gen_corpus
-from .ndtensor import DegenerateInputError, NumericError
+from .ndtensor import NumericError
 from .pools import IntegrityError
 
 EXIT_OK = 0
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, DegenerateInputError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, IntegrityError) as exc:

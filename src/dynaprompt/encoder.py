@@ -31,6 +31,8 @@ from .pools import (
     RoleTag,
     SelectionResult,
     assemble_prompt_tokens,
+    cross_query,
+    query_fn,
     select_prompts,
 )
 
@@ -188,10 +190,10 @@ class TransformerLayer:
         x = ops.reshape(x, (b, length, self.n_heads, self.head_dim))
         return ops.permute(x, (0, 2, 1, 3))
 
-    def attention_probs(self, x: Tensor, mask_add: np.ndarray) -> Tensor:
-        """Masked attention distribution [B, heads, L, L]; rows sum to one."""
-        b, length, _ = x.shape
-        h = ops.layernorm(x, self.ln1_g, self.ln1_b)
+    def attention_probs(self, h: Tensor, mask_add: np.ndarray) -> Tensor:
+        """Masked attention distribution [B, heads, L, L] of the normalized
+        input ``h``; rows sum to one."""
+        b, length, _ = h.shape
         q = self._split_heads(ops.add(ops.matmul(h, self.wq), self.bq), b, length)
         k = self._split_heads(ops.add(ops.matmul(h, self.wk), self.bk), b, length)
         scores = ops.scale(ops.matmul(q, ops.permute(k, (0, 1, 3, 2))),
@@ -201,12 +203,8 @@ class TransformerLayer:
     def forward(self, x: Tensor, mask_add: np.ndarray) -> Tensor:
         b, length, _ = x.shape
         h = ops.layernorm(x, self.ln1_g, self.ln1_b)
-        q = self._split_heads(ops.add(ops.matmul(h, self.wq), self.bq), b, length)
-        k = self._split_heads(ops.add(ops.matmul(h, self.wk), self.bk), b, length)
+        probs = self.attention_probs(h, mask_add)
         v = self._split_heads(ops.add(ops.matmul(h, self.wv), self.bv), b, length)
-        scores = ops.scale(ops.matmul(q, ops.permute(k, (0, 1, 3, 2))),
-                           1.0 / np.sqrt(self.head_dim))
-        probs = ops.softmax(ops.add_const(scores, mask_add), axis=-1)
         ctx = ops.permute(ops.matmul(probs, v), (0, 2, 1, 3))
         ctx = ops.reshape(ctx, (b, length, self.d_hidden))
         x = ops.add(x, ops.add(ops.matmul(ctx, self.wo), self.bo))
@@ -315,45 +313,28 @@ class VisionLanguageModel:
 
     def _select_batch(self, pool, queries: list[Tensor], n_sel: int,
                       override: np.ndarray | None):
-        sels = []
-        for i, q in enumerate(queries):
-            if override is not None:
-                idx = override[i]
-                with_sims = [0.0] * len(idx)
-                sels.append(SelectionResult(indices=[int(j) for j in idx],
-                                            similarities=with_sims, query=q,
-                                            pool=pool, pool_size=pool.pool_size))
-            else:
-                sels.append(select_prompts(pool, q, n_sel))
-        return sels
+        if override is None:
+            return [select_prompts(pool, q, n_sel) for q in queries]
+        return [SelectionResult(indices=[int(j) for j in idx],
+                                similarities=[0.0] * len(idx), query=q,
+                                pool=pool)
+                for q, idx in zip(queries, override)]
 
-    def _prompt_segment(self, pool, selections, role,
+    def _prompt_segment(self, selections, role,
                         proj_w: Tensor, proj_b: Tensor) -> Tensor:
         blocks = []
         for sel in selections:
-            tok = assemble_prompt_tokens(sel, pool, role)
+            tok = assemble_prompt_tokens(sel, role)
             blocks.append(ops.reshape(tok, (1,) + tok.shape))
         block = blocks[0] if len(blocks) == 1 else ops.concat(blocks, axis=0)
         return ops.add(ops.matmul(block, proj_w), proj_b)
 
-    def _text_queries(self, emb: Tensor, token_ids: np.ndarray) -> list[Tensor]:
-        # masked mean over real (non-pad) tokens, per item
-        b = token_ids.shape[0]
-        valid = (token_ids != PAD_ID)
-        counts = valid.sum(axis=1)
-        if np.any(counts == 0):
-            raise ConfigError("text item with no real tokens")
-        weighted = ops.mul_const(emb, valid[:, :, None].astype(np.float64))
-        sums = ops.sum(weighted, axis=1)
-        means = ops.mul_const(sums, (1.0 / counts)[:, None])
-        return [ops.reshape(ops.slice_axis(means, 0, i, i + 1),
-                            (self.config.d_text,)) for i in range(b)]
-
-    def _patch_queries(self, emb: Tensor) -> list[Tensor]:
-        b = emb.shape[0]
-        means = ops.mean(emb, axis=1)
-        return [ops.reshape(ops.slice_axis(means, 0, i, i + 1),
-                            (self.config.d_vision,)) for i in range(b)]
+    @staticmethod
+    def _per_item(queries: Tensor) -> list[Tensor]:
+        """Split [B, D] queries into B vectors of shape [D]."""
+        b, d = queries.shape
+        return [ops.reshape(ops.slice_axis(queries, 0, i, i + 1), (d,))
+                for i in range(b)]
 
     def unify_inputs(self, batch: UnifiedBatch, pools: PromptPools,
                      select_override: dict[str, np.ndarray] | None = None
@@ -377,37 +358,38 @@ class VisionLanguageModel:
         patch_emb = None
         if batch.token_ids is not None:
             text_emb = self.embed_text(batch.token_ids)
+            text_valid = batch.token_ids != PAD_ID
         if batch.patch_features is not None:
             patch_emb = self.embed_patches(batch.patch_features)
 
         prompt_tokens = None
         if batch.kind == "image_only":
             # contrary-pool prompts serve the visual context
-            queries = self._patch_queries(patch_emb)
-            tq = [cross_query_from(q, pools.vis_to_txt) for q in queries]
+            queries = self._per_item(query_fn(patch_emb))
+            tq = [cross_query(q, pools.vis_to_txt) for q in queries]
             selections_t = self._select_batch(pools.textual, tq, c.n_sel,
                                               ov.get("textual"))
             prompt_tokens = self._prompt_segment(
-                pools.textual, selections_t, RoleTag.VISUAL_CONTEXT,
+                selections_t, RoleTag.VISUAL_CONTEXT,
                 self.text_to_hidden_w, self.text_to_hidden_b)
             segments.append(self._cls_segment(self.cls_v, b))
             segments.append(ops.add(ops.matmul(patch_emb, self.vis_to_hidden_w),
                                     self.vis_to_hidden_b))
             segments.append(prompt_tokens)
         elif batch.kind == "text_only":
-            queries = self._text_queries(text_emb, batch.token_ids)
-            vq = [cross_query_from(q, pools.txt_to_vis) for q in queries]
+            queries = self._per_item(query_fn(text_emb, text_valid))
+            vq = [cross_query(q, pools.txt_to_vis) for q in queries]
             selections_v = self._select_batch(pools.visual, vq, c.n_sel,
                                               ov.get("visual"))
             segments.append(self._prompt_segment(
-                pools.visual, selections_v, RoleTag.TEXTUAL_CONTEXT,
+                selections_v, RoleTag.TEXTUAL_CONTEXT,
                 self.vis_to_hidden_w, self.vis_to_hidden_b))
             segments.append(self._cls_segment(self.cls_t, b))
             segments.append(ops.add(ops.matmul(text_emb, self.text_to_hidden_w),
                                     self.text_to_hidden_b))
         else:  # image_text: same-modality prompts on both sides
-            vqueries = self._patch_queries(patch_emb)
-            tqueries = self._text_queries(text_emb, batch.token_ids)
+            vqueries = self._per_item(query_fn(patch_emb))
+            tqueries = self._per_item(query_fn(text_emb, text_valid))
             selections_v = self._select_batch(pools.visual, vqueries, c.n_sel,
                                               ov.get("visual"))
             selections_t = self._select_batch(pools.textual, tqueries, c.n_sel,
@@ -416,10 +398,10 @@ class VisionLanguageModel:
             segments.append(ops.add(ops.matmul(patch_emb, self.vis_to_hidden_w),
                                     self.vis_to_hidden_b))
             segments.append(self._prompt_segment(
-                pools.visual, selections_v, RoleTag.VISUAL_CONTEXT,
+                selections_v, RoleTag.VISUAL_CONTEXT,
                 self.vis_to_hidden_w, self.vis_to_hidden_b))
             segments.append(self._prompt_segment(
-                pools.textual, selections_t, RoleTag.TEXTUAL_CONTEXT,
+                selections_t, RoleTag.TEXTUAL_CONTEXT,
                 self.text_to_hidden_w, self.text_to_hidden_b))
             segments.append(self._cls_segment(self.cls_t, b))
             segments.append(ops.add(ops.matmul(text_emb, self.text_to_hidden_w),
@@ -467,11 +449,3 @@ class VisionLanguageModel:
                                cls_textual=pick(layout.cls_t))
         return encoded, unified
 
-
-def cross_query_from(query: Tensor, projection: Tensor | None) -> Tensor:
-    """Project an already-pooled query into the other pool's key space."""
-    if projection is None:
-        return query
-    d = query.shape[0]
-    return ops.reshape(ops.matmul(ops.reshape(query, (1, d)), projection),
-                       (projection.shape[1],))

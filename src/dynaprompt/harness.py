@@ -13,9 +13,10 @@ import os
 import numpy as np
 
 from .adaptation import (
+    CLASSIFY_KIND,
+    TASKS,
     CaptionBatch,
     CaptionDecoder,
-    DecoderConfig,
     LabeledBatch,
     TaskHead,
     classify,
@@ -140,11 +141,10 @@ def _itm_eval_batch(pairs, config):
 def _labeled_batch(pairs, config, task):
     if task == "pair_classify":
         return _itm_eval_batch(pairs, config)
-    kind = {"vqa": "image_text", "image_classify": "image_only",
-            "text_classify": "text_only"}[task]
     labels = np.array([p.answer_label if task == "vqa" else p.class_label
                        for p in pairs], dtype=np.int64)
-    return LabeledBatch(batch_from_pairs(pairs, config, kind), labels)
+    return LabeledBatch(batch_from_pairs(pairs, config, CLASSIFY_KIND[task]),
+                        labels)
 
 
 def _caption_batch(pairs, config):
@@ -159,10 +159,6 @@ def _task_batch(pairs, config, task):
     if task == "generation":
         return _caption_batch(pairs, config)
     return _labeled_batch(pairs, config, task)
-
-
-def _label_space(task, config):
-    return 2 if task == "pair_classify" else config.corpus_concepts
 
 
 # ---------------------------------------------------------------------------
@@ -270,31 +266,53 @@ def run_pretrain(config: ModelConfig, corpus: SyntheticCorpus, out_dir):
     return ckpt_path, metrics_path
 
 
-def _load_backbone(config: ModelConfig, checkpoint_path):
-    stored_config, state = load_checkpoint(checkpoint_path)
-    model, pools, heads = build_model(config)
-    restore_state(state, model, pools, heads)
-    return model, pools, heads
+# Config fields that fix the backbone's tensors and how it reads them; the
+# dec_* fields fix a caption decoder's.
+_GEOMETRY = ("d_text", "d_vision", "d_hidden", "n_layers", "n_heads",
+             "vocab_size", "max_text_len", "patch_count", "patch_dim",
+             "pool_size_v", "pool_size_t", "prompt_len_v", "prompt_len_t",
+             "n_sel")
+_DECODER_GEOMETRY = ("dec_layers", "dec_heads", "dec_context")
+
+
+def _load_matching(config: ModelConfig, checkpoint_path, decoder: bool = False):
+    """Read a checkpoint's tensors after checking that the geometry stored
+    with them equals ``config``'s; shapes alone miss a changed head count or
+    a shorter layer stack."""
+    stored, state = load_checkpoint(checkpoint_path)
+    keys = _GEOMETRY + (_DECODER_GEOMETRY if decoder else ())
+    diff = [f"{k} {getattr(stored, k)} != {getattr(config, k)}"
+            for k in keys if getattr(stored, k) != getattr(config, k)]
+    if diff:
+        raise ConfigError("checkpoint geometry mismatch (stored != given): "
+                          + ", ".join(diff))
+    return state
+
+
+def _task_head(config: ModelConfig, task: str, model) -> TaskHead:
+    """The seeded head for ``task``; a caption decoder starts from the
+    encoder's layers."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
+    decoder = None
+    if task == "generation":
+        decoder = CaptionDecoder(config, rng, encoder_layers=model.layers)
+    label_space = 2 if task == "pair_classify" else config.corpus_concepts
+    return TaskHead(task, config, rng, label_space=label_space, decoder=decoder)
 
 
 def run_finetune(config: ModelConfig, corpus: SyntheticCorpus, checkpoint_path,
                  task: str, out_dir, steps: int | None = None):
     """Adapt a pre-trained checkpoint to one task; returns (ckpt, metrics)."""
-    if task not in ("vqa", "pair_classify", "image_classify", "text_classify",
-                    "retrieval", "generation"):
+    if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, f"finetune_{task}.ckpt")
     metrics_path = os.path.join(out_dir, f"finetune_{task}_metrics.csv")
 
-    model, pools, heads = _load_backbone(config, checkpoint_path)
-    rng_head = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-    decoder = None
-    if task == "generation":
-        decoder = CaptionDecoder(DecoderConfig.from_model_config(config),
-                                 config, rng_head, encoder_layers=model.layers)
-    head = TaskHead(task, config, rng_head,
-                    label_space=_label_space(task, config), decoder=decoder)
+    state = _load_matching(config, checkpoint_path)
+    model, pools, heads = build_model(config)
+    restore_state(state, model, pools, heads)
+    head = _task_head(config, task, model)
 
     if config.freeze_backbone:
         # frozen backbone means only head parameters may change, pools included
@@ -340,19 +358,14 @@ def run_eval(config: ModelConfig, corpus: SyntheticCorpus, checkpoint_path,
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, f"eval_{task}_metrics.csv")
 
-    stored_config, state = load_checkpoint(checkpoint_path)
+    state = _load_matching(config, checkpoint_path,
+                           decoder=task == "generation")
     model, pools, _ = build_model(config)
-    rng_head = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-    decoder = None
-    if task == "generation":
-        decoder = CaptionDecoder(DecoderConfig.from_model_config(config),
-                                 config, rng_head, encoder_layers=model.layers)
-    head = TaskHead(task, config, rng_head,
-                    label_space=_label_space(task, config), decoder=decoder)
+    head = _task_head(config, task, model)
     restore_state(state, model, pools, heads=None, head=head)
 
     results: list[tuple[str, float]] = []
-    if task in ("vqa", "pair_classify", "image_classify", "text_classify"):
+    if task in CLASSIFY_KIND:
         acc = _eval_classification(model, pools, head, corpus, config, task)
         results.append(("accuracy", acc))
     elif task == "retrieval":

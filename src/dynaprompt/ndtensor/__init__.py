@@ -1,7 +1,6 @@
 """Float64 tensor core: values, reverse-mode tape, ops, gradient checking."""
 
 from .tensor import (
-    DegenerateInputError,
     NumericError,
     ShapeError,
     Tape,
@@ -18,14 +17,12 @@ from . import ops  # installs Tensor operators
 from .ops import (
     add,
     concat,
-    cosine_sim,
     cross_entropy,
     embedding_lookup,
     gelu,
     layernorm,
     matmul,
     mean,
-    mean_pool,
     mul,
     softmax,
 )
@@ -33,9 +30,8 @@ from .gradcheck import FdCheckReport, OP_SUITE, fd_check, run_op_suite
 
 __all__ = [
     "Tensor", "Tape", "backward", "no_grad", "tensor", "zeros", "record_op",
-    "ShapeError", "NumericError", "TapeConsumedError", "DegenerateInputError",
-    "flags", "ops", "add", "mul", "matmul", "softmax", "cosine_sim",
-    "cross_entropy", "layernorm", "gelu", "embedding_lookup", "concat",
-    "mean", "mean_pool", "fd_check", "FdCheckReport", "OP_SUITE",
-    "run_op_suite",
+    "ShapeError", "NumericError", "TapeConsumedError", "flags", "ops", "add",
+    "mul", "matmul", "softmax", "cross_entropy", "layernorm", "gelu",
+    "embedding_lookup", "concat", "mean", "fd_check", "FdCheckReport",
+    "OP_SUITE", "run_op_suite",
 ]

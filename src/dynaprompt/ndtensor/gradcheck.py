@@ -216,11 +216,6 @@ def _case_mean(rng):
     return (lambda: ops.sum(ops.mul(ops.mean(a, axis=0), ops.mean(a, axis=0)))), {"a": a}
 
 
-def _case_mean_pool(rng):
-    a = _leaf(rng, (2, 5, 3))
-    return (lambda: ops.sum(ops.mul(ops.mean_pool(a), ops.mean_pool(a)))), {"a": a}
-
-
 def _case_rowwise_scale(rng):
     a, s = _leaf(rng, (3, 4)), _leaf(rng, (3,))
     return (lambda: ops.sum(ops.mul(ops.rowwise_scale(a, s), a))), {"a": a, "s": s}
@@ -252,12 +247,6 @@ def _case_gelu(rng):
     return (lambda: ops.sum(ops.gelu(a))), {"a": a}
 
 
-def _case_cosine_sim(rng):
-    u = _leaf(rng, (8,), 0.2, 1.0)
-    v = _leaf(rng, (8,), -1.0, -0.2)
-    return (lambda: ops.cosine_sim(u, v)), {"u": u, "v": v}
-
-
 OP_SUITE: dict = {
     "add": _case_add,
     "sub": _case_sub,
@@ -280,13 +269,11 @@ OP_SUITE: dict = {
     "embedding_lookup": _case_embedding_lookup,
     "sum": _case_sum,
     "mean": _case_mean,
-    "mean_pool": _case_mean_pool,
     "rowwise_scale": _case_rowwise_scale,
     "softmax": _case_softmax,
     "cross_entropy": _case_cross_entropy,
     "layernorm": _case_layernorm,
     "gelu": _case_gelu,
-    "cosine_sim": _case_cosine_sim,
 }
 
 

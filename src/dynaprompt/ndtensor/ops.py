@@ -16,20 +16,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf as _erf
 
-from .tensor import (
-    NumericError,
-    ShapeError,
-    Tensor,
-    flags,
-    record_op,
-)
+from .tensor import NumericError, ShapeError, Tensor, record_op
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "scale", "add_const", "mul_const",
     "pow_const", "sqrt", "matmul", "permute", "reshape", "concat",
     "slice_axis", "gather_rows", "embedding_lookup", "sum", "mean",
-    "mean_pool", "rowwise_scale", "softmax", "cross_entropy", "layernorm",
-    "gelu", "cosine_sim",
+    "rowwise_scale", "softmax", "cross_entropy", "layernorm", "gelu",
 ]
 
 def _as_tensor(x) -> Tensor:
@@ -310,14 +303,6 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return scale(sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def mean_pool(a) -> Tensor:
-    """Mean over the token axis (second to last)."""
-    a = _as_tensor(a)
-    if a.ndim < 2:
-        raise ShapeError(f"mean_pool needs rank >= 2, got {list(a.shape)}")
-    return mean(a, axis=a.ndim - 2)
-
-
 def rowwise_scale(a, s) -> Tensor:
     """Scale the last axis of ``a`` per leading index: out[..., d] = a[..., d]*s[...].
 
@@ -431,24 +416,6 @@ def gelu(a) -> Tensor:
         return (g * (cdf + a.data * pdf),)
 
     return record_op(out, (a,), grad_fn)
-
-
-def cosine_sim(u, v) -> Tensor:
-    """Cosine similarity of two vectors, in [-1, 1].
-
-    A zero-norm operand is a degenerate input: the result is a constant 0 and
-    the event is flagged (raised in strict mode) instead of producing NaN.
-    """
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine_sim needs equal-length vectors, got "
-                         f"{list(u.shape)} / {list(v.shape)}")
-    if float(np.dot(u.data, u.data)) == 0.0 or float(np.dot(v.data, v.data)) == 0.0:
-        flags.flag_degenerate_cosine()
-        return Tensor(0.0)
-    nu = sqrt(sum(mul(u, u)))
-    nv = sqrt(sum(mul(v, v)))
-    return div(sum(mul(u, v)), mul(nu, nv))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "ShapeError",
     "NumericError",
     "TapeConsumedError",
-    "DegenerateInputError",
     "flags",
 ]
 
@@ -43,26 +42,16 @@ class TapeConsumedError(RuntimeError):
     """A second backward pass was attempted on a consumed tape."""
 
 
-class DegenerateInputError(ArithmeticError):
-    """Degenerate input (e.g. zero-norm cosine operand) in strict mode."""
-
-
 class _NumericFlags:
-    """Process-wide counters for degenerate-but-tolerated numeric events.
-
-    ``strict=True`` upgrades flagged events to :class:`DegenerateInputError`.
-    """
+    """Process-wide counters for degenerate-but-tolerated numeric events."""
 
     def __init__(self):
-        self.strict = False
         self.degenerate_cosine = 0
 
     def reset(self):
         self.degenerate_cosine = 0
 
-    def flag_degenerate_cosine(self, detail=""):
-        if self.strict:
-            raise DegenerateInputError(f"zero-norm cosine operand {detail}".strip())
+    def flag_degenerate_cosine(self):
         self.degenerate_cosine += 1
 
 
@@ -155,20 +144,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        """The underlying buffer (not a copy); treat as read-only."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        """A constant view of the same buffer, off the tape."""
-        return Tensor(self.data)
-
-    def is_leaf(self) -> bool:
-        return self.tape_node is None
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""

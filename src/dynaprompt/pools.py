@@ -26,7 +26,7 @@ __all__ = [
 
 
 class IntegrityError(RuntimeError):
-    """Internal state no longer matches (stale selection, bad checksum...)."""
+    """Internal state no longer matches (bad selection, bad checksum...)."""
 
 
 class RoleTag:
@@ -45,12 +45,11 @@ class SelectionResult:
     similarities: list[float]
     query: Tensor
     pool: "PromptPool" = field(repr=False)
-    pool_size: int = 0
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
             raise IntegrityError("selection indices must be distinct")
-        if any(i < 0 or i >= self.pool_size for i in self.indices):
+        if any(i < 0 or i >= self.pool.pool_size for i in self.indices):
             raise IntegrityError("selection index outside the pool")
         if any(s2 > s1 + 1e-12 for s1, s2 in zip(self.similarities,
                                                  self.similarities[1:])):
@@ -96,32 +95,42 @@ class PromptPool:
         return out
 
 
-def query_fn(input_embedding: Tensor) -> Tensor:
-    """Reduce a [seq_len, key_dim] embedding to one key-space query vector.
+def query_fn(embedding: Tensor, valid: np.ndarray | None = None) -> Tensor:
+    """Reduce token embeddings [..., L, key_dim] to key-space queries [..., key_dim].
 
     Parameter-free mean pooling over the token axis; a single token passes
     through unchanged and opposing tokens cancel to the zero vector (which is
-    flagged downstream as a degenerate query).
+    flagged downstream as a degenerate query).  ``valid`` ([..., L] bool)
+    restricts each mean to its valid tokens, e.g. the non-pad text tokens.
     """
-    if input_embedding.ndim != 2 or input_embedding.shape[0] < 1:
-        raise ops.ShapeError(f"query_fn needs [seq_len, key_dim], got "
-                             f"{list(input_embedding.shape)}")
-    return ops.mean(input_embedding, axis=0)
+    if embedding.ndim < 2 or embedding.shape[-2] < 1:
+        raise ops.ShapeError(f"query_fn needs [..., seq_len, key_dim], got "
+                             f"{list(embedding.shape)}")
+    token_axis = embedding.ndim - 2
+    if valid is None:
+        return ops.mean(embedding, axis=token_axis)
+    counts = valid.sum(axis=-1)
+    if np.any(counts == 0):
+        raise ConfigError("query over a row with no valid tokens")
+    weighted = ops.mul_const(embedding, valid[..., None].astype(np.float64))
+    return ops.mul_const(ops.sum(weighted, axis=token_axis),
+                         (1.0 / counts)[..., None])
 
 
-def cross_query(input_embedding: Tensor, projection: Tensor | None) -> Tensor:
-    """Query a pool of the *other* modality: pool + linear dimension bridge.
+def cross_query(query: Tensor, projection: Tensor | None) -> Tensor:
+    """Carry a pooled query into the *other* modality's key space.
 
-    ``projection`` maps the input's key space into the target pool's key
-    space; it may be omitted only when the two dimensions already agree.
+    ``projection`` is the linear dimension bridge; it may be omitted only
+    when the two key dimensions already agree.
     """
-    q = query_fn(input_embedding)
     if projection is None:
-        return q
-    if projection.ndim != 2 or projection.shape[0] != q.shape[0]:
+        return query
+    if (query.ndim != 1 or projection.ndim != 2
+            or projection.shape[0] != query.shape[0]):
         raise ops.ShapeError(f"projection {list(projection.shape)} does not "
-                             f"accept query of dim {q.shape[0]}")
-    return ops.reshape(ops.matmul(ops.reshape(q, (1, q.shape[0])), projection),
+                             f"accept query of shape {list(query.shape)}")
+    d = query.shape[0]
+    return ops.reshape(ops.matmul(ops.reshape(query, (1, d)), projection),
                        (projection.shape[1],))
 
 
@@ -141,7 +150,7 @@ def select_prompts(pool: PromptPool, query: Tensor, n_sel: int) -> SelectionResu
         q = query.data
         qn = float(np.linalg.norm(q))
         if qn == 0.0:
-            flags.flag_degenerate_cosine("(pool query)")
+            flags.flag_degenerate_cosine()
             sims = np.zeros(pool.pool_size)
         else:
             kn = np.linalg.norm(pool.keys.data, axis=1)
@@ -151,7 +160,7 @@ def select_prompts(pool: PromptPool, query: Tensor, n_sel: int) -> SelectionResu
     pool.selection_calls += 1
     return SelectionResult(indices=[int(i) for i in order],
                            similarities=[float(sims[i]) for i in order],
-                           query=query, pool=pool, pool_size=pool.pool_size)
+                           query=query, pool=pool)
 
 
 def surrogate_loss(selections: list[SelectionResult],
@@ -185,16 +194,14 @@ def surrogate_loss(selections: list[SelectionResult],
     return ops.scale(total, 1.0 / batch_size)
 
 
-def assemble_prompt_tokens(selection: SelectionResult, pool: PromptPool,
-                           role: str) -> Tensor:
+def assemble_prompt_tokens(selection: SelectionResult, role: str) -> Tensor:
     """Concatenate selected value blocks (similarity order) plus a role tag.
 
     Output is [n_sel * prompt_len, key_dim]; the role embedding is added to
     every token so the encoder can tell visual-context prompts from
     textual-context ones.
     """
-    if selection.pool is not pool or selection.pool_size != pool.pool_size:
-        raise IntegrityError("selection is stale for this pool")
+    pool = selection.pool
     if role not in pool.role_embeddings:
         raise ConfigError(f"unknown role {role!r}")
     gathered = ops.gather_rows(pool.values, np.asarray(selection.indices))

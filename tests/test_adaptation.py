@@ -6,7 +6,6 @@ import pytest
 from dynaprompt.adaptation import (
     CaptionBatch,
     CaptionDecoder,
-    DecoderConfig,
     LabeledBatch,
     TaskHead,
     caption_loss,
@@ -202,16 +201,8 @@ class TestRetrievalRank:
 
 class TestCaptionDecoder:
     def _decoder(self, config, seed=14, from_encoder=None):
-        return CaptionDecoder(DecoderConfig.from_model_config(config), config,
-                              np.random.default_rng(seed),
+        return CaptionDecoder(config, np.random.default_rng(seed),
                               encoder_layers=from_encoder)
-
-    def test_no_cross_attention_sublayers(self, tiny_config):
-        dec = self._decoder(tiny_config)
-        assert not dec.has_cross_attention()
-        assert DecoderConfig.from_model_config(tiny_config).causal
-        with pytest.raises(ConfigError):
-            DecoderConfig(causal=False)
 
     def test_initialized_from_encoder_where_shapes_permit(self, tiny_config):
         model, _ = build(tiny_config, seed=15)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dynaprompt.config import ConfigError, ModelConfig
+from dynaprompt.config import PAD_ID, ConfigError, ModelConfig
 from dynaprompt.encoder import (
     UnifiedBatch,
     VisionLanguageModel,
@@ -137,6 +137,46 @@ class TestUnifyLayout:
             model.unify_inputs(batch, pools)
 
 
+class TestModelQueries:
+    """The pool queries the model forms: a token mean per item, text pads
+    left out, projected into the other key space for single-modality
+    inputs."""
+
+    def test_queries_match_mean_oracle_for_every_kind(self, tiny_config):
+        model, pools = build(tiny_config)
+        rng = np.random.default_rng(12)
+        for kind in ("image_only", "text_only", "image_text"):
+            batch = make_batch(tiny_config, kind, 3, rng, text_len=3)
+            unified = model.unify_inputs(batch, pools)
+            if batch.patch_features is not None:
+                patch_q = model.embed_patches(batch.patch_features).data.mean(axis=1)
+            if batch.token_ids is not None:
+                emb = model.embed_text(batch.token_ids).data
+                real = batch.token_ids != PAD_ID
+                assert not real.all()  # padding present, so the mask matters
+                text_q = np.stack([emb[i][real[i]].mean(axis=0)
+                                   for i in range(3)])
+            if kind == "image_only":
+                want_v, want_t = [], patch_q @ pools.vis_to_txt.data
+            elif kind == "text_only":
+                want_v, want_t = text_q @ pools.txt_to_vis.data, []
+            else:
+                want_v, want_t = patch_q, text_q
+            for sels, want in ((unified.selections_v, want_v),
+                               (unified.selections_t, want_t)):
+                assert len(sels) == len(want)
+                for sel, q in zip(sels, want):
+                    np.testing.assert_allclose(sel.query.data, q, atol=1e-12)
+
+    def test_text_item_without_real_tokens_rejected(self, tiny_config):
+        model, pools = build(tiny_config)
+        batch = make_batch(tiny_config, "text_only", 2,
+                           np.random.default_rng(13), text_len=0)
+        assert np.all(batch.token_ids == PAD_ID)
+        with pytest.raises(ConfigError):
+            model.unify_inputs(batch, pools)
+
+
 class TestEncode:
     def test_zero_layer_stack_is_identity(self, tiny_config):
         config = ModelConfig.from_dict({**tiny_config.to_dict(), "n_layers": 0})
@@ -172,7 +212,9 @@ class TestEncode:
                                text_len=int(rng.integers(1, 6)))
             unified = model.unify_inputs(batch, pools)
             mask_add = np.where(unified.mask[:, None, None, :], 0.0, -1e30)
-            probs = model.layers[0].attention_probs(unified.states, mask_add)
+            layer = model.layers[0]
+            h = ops.layernorm(unified.states, layer.ln1_g, layer.ln1_b)
+            probs = layer.attention_probs(h, mask_add)
             np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_masked_token_cannot_influence_visible_outputs(self, tiny_config):

@@ -139,6 +139,43 @@ class TestRunFinetuneEval:
         with pytest.raises(ConfigError, match="geometry|lacks"):
             run_finetune(wrong, corpus, ckpt, "vqa", tmp_path)
 
+    def test_head_count_mismatch_rejected(self, small_config, tmp_path):
+        # same tensor shapes, different attention split
+        corpus = default_corpus(small_config)
+        ckpt, _ = run_pretrain(small_config, corpus, tmp_path)
+        wrong = ModelConfig.from_dict({**small_config.to_dict(), "n_heads": 4})
+        from dynaprompt.config import ConfigError
+        with pytest.raises(ConfigError, match="geometry.*n_heads 2 != 4"):
+            run_finetune(wrong, corpus, ckpt, "vqa", tmp_path)
+        # fields outside the geometry may differ
+        other_lr = ModelConfig.from_dict({**small_config.to_dict(), "lr": 0.5})
+        run_finetune(other_lr, corpus, ckpt, "vqa", tmp_path, steps=0)
+
+    def test_shorter_layer_stack_rejected(self, small_config, tmp_path):
+        # a one-layer model finds all of its tensors in a two-layer checkpoint
+        corpus = default_corpus(small_config)
+        ckpt, _ = run_pretrain(small_config, corpus, tmp_path)
+        fckpt, _ = run_finetune(small_config, corpus, ckpt, "vqa", tmp_path,
+                                steps=0)
+        wrong = ModelConfig.from_dict({**small_config.to_dict(), "n_layers": 1})
+        from dynaprompt.config import ConfigError
+        for run in (lambda: run_finetune(wrong, corpus, ckpt, "vqa", tmp_path),
+                    lambda: run_eval(wrong, corpus, fckpt, "vqa", tmp_path)):
+            with pytest.raises(ConfigError, match="geometry.*n_layers 2 != 1"):
+                run()
+
+    def test_decoder_geometry_checked_where_decoder_restored(self, small_config,
+                                                             tmp_path):
+        corpus = default_corpus(small_config)
+        ckpt, _ = run_pretrain(small_config, corpus, tmp_path)
+        other = ModelConfig.from_dict({**small_config.to_dict(), "dec_heads": 4})
+        # fine-tuning builds a fresh decoder, so its geometry is free
+        fckpt, _ = run_finetune(other, corpus, ckpt, "generation", tmp_path,
+                                steps=0)
+        from dynaprompt.config import ConfigError
+        with pytest.raises(ConfigError, match="geometry.*dec_heads 4 != 2"):
+            run_eval(small_config, corpus, fckpt, "generation", tmp_path)
+
 
 class TestInspectPool:
     def test_writes_expected_csvs(self, small_config, tmp_path):

@@ -10,6 +10,7 @@ from dynaprompt.pools import (
     PromptPool,
     PromptPools,
     RoleTag,
+    SelectionResult,
     assemble_prompt_tokens,
     cross_query,
     query_fn,
@@ -47,22 +48,51 @@ class TestQueryFn:
         oracle = np.array([x[:, j].sum() / 5 for j in range(8)])
         np.testing.assert_allclose(query_fn(tensor(x)).data, oracle, atol=1e-12)
 
+    def test_batched_rows_match_per_row_queries(self):
+        x = np.random.default_rng(17).normal(size=(3, 5, 4))
+        out = query_fn(tensor(x))
+        assert out.shape == (3, 4)
+        for i in range(3):
+            np.testing.assert_array_equal(out.data[i], query_fn(tensor(x[i])).data)
+
+    def test_masked_mean_matches_valid_token_oracle(self):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(4, 7, 5))
+        valid = rng.random((4, 7)) < 0.5
+        valid[:, 0] = True  # every row keeps at least one token
+        valid[2] = True     # and one row keeps all of them
+        out = query_fn(tensor(x), valid)
+        for i in range(4):
+            kept = [x[i, t] for t in range(7) if valid[i, t]]
+            oracle = np.array([sum(v[j] for v in kept) / len(kept)
+                               for j in range(5)])
+            np.testing.assert_allclose(out.data[i], oracle, atol=1e-12)
+        np.testing.assert_allclose(out.data[2], x[2].mean(axis=0), atol=1e-12)
+
+    def test_row_without_valid_tokens_rejected(self):
+        x = tensor(np.ones((3, 4, 2)))
+        valid = np.ones((3, 4), dtype=bool)
+        valid[1] = False
+        with pytest.raises(ConfigError):
+            query_fn(x, valid)
+
 
 class TestCrossQuery:
     def test_identity_projection_equals_query_fn(self):
         rng = np.random.default_rng(2)
         x = tensor(rng.normal(size=(4, 6)))
-        got = cross_query(x, Tensor(np.eye(6)))
+        got = cross_query(query_fn(x), Tensor(np.eye(6)))
         np.testing.assert_allclose(got.data, query_fn(x).data, atol=1e-15)
 
     def test_no_projection_when_dims_agree(self):
         rng = np.random.default_rng(2)
         x = tensor(rng.normal(size=(4, 6)))
-        np.testing.assert_array_equal(cross_query(x, None).data, query_fn(x).data)
+        np.testing.assert_array_equal(cross_query(query_fn(x), None).data,
+                                      query_fn(x).data)
 
     def test_zero_input_gives_zero_query(self):
         proj = Tensor(np.random.default_rng(3).normal(size=(6, 4)))
-        out = cross_query(tensor(np.zeros((3, 6))), proj)
+        out = cross_query(query_fn(tensor(np.zeros((3, 6)))), proj)
         np.testing.assert_array_equal(out.data, np.zeros(4))
 
     def test_matches_matmul_after_mean_oracle(self):
@@ -70,8 +100,12 @@ class TestCrossQuery:
         x = rng.normal(size=(5, 6))
         w = rng.normal(size=(6, 4))
         oracle = x.mean(axis=0) @ w
-        got = cross_query(tensor(x), Tensor(w))
+        got = cross_query(query_fn(tensor(x)), Tensor(w))
         np.testing.assert_allclose(got.data, oracle, atol=1e-12)
+
+    def test_projection_must_accept_query(self):
+        with pytest.raises(ops.ShapeError):
+            cross_query(tensor(np.ones(6)), Tensor(np.ones((5, 4))))
 
 
 class TestSelectPrompts:
@@ -134,6 +168,12 @@ class TestSelectPrompts:
             select_prompts(pool, tensor(rng.normal(size=4)), 3)
         assert pool.usage.sum() == calls * 3
         assert pool.selection_calls == calls
+
+    def test_index_outside_pool_rejected(self):
+        pool = make_pool(pool_size=4, key_dim=3)
+        with pytest.raises(IntegrityError):
+            SelectionResult(indices=[1, 4], similarities=[0.0, 0.0],
+                            query=tensor(np.ones(3)), pool=pool)
 
     def test_zero_query_flags_degenerate(self):
         pool = make_pool()
@@ -219,14 +259,14 @@ class TestAssemblePromptTokens:
     def test_output_shape(self):
         pool = make_pool(pool_size=5, key_dim=4, prompt_len=2)
         sel = select_prompts(pool, tensor(np.ones(4)), 1)
-        out = assemble_prompt_tokens(sel, pool, RoleTag.VISUAL_CONTEXT)
+        out = assemble_prompt_tokens(sel, RoleTag.VISUAL_CONTEXT)
         assert out.shape == (2, 4)
 
     def test_zero_role_embedding_is_identity(self):
         pool = make_pool(pool_size=5, key_dim=4, prompt_len=2, seed=14)
         pool.role_embeddings[RoleTag.TEXTUAL_CONTEXT].data[:] = 0.0
         sel = select_prompts(pool, tensor(np.ones(4)), 2)
-        out = assemble_prompt_tokens(sel, pool, RoleTag.TEXTUAL_CONTEXT)
+        out = assemble_prompt_tokens(sel, RoleTag.TEXTUAL_CONTEXT)
         expected = pool.values.data[sel.indices].reshape(4, 4)
         np.testing.assert_array_equal(out.data, expected)
 
@@ -236,15 +276,8 @@ class TestAssemblePromptTokens:
         role = RoleTag.VISUAL_CONTEXT
         oracle = (pool.values.data[sel.indices].reshape(12, 5)
                   + pool.role_embeddings[role].data)
-        out = assemble_prompt_tokens(sel, pool, role)
+        out = assemble_prompt_tokens(sel, role)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
-
-    def test_stale_selection_rejected(self):
-        pool = make_pool(pool_size=5, key_dim=4)
-        sel = select_prompts(pool, tensor(np.ones(4)), 2)
-        other = make_pool(pool_size=5, key_dim=4, seed=99)
-        with pytest.raises(IntegrityError):
-            assemble_prompt_tokens(sel, other, RoleTag.VISUAL_CONTEXT)
 
     def test_exactly_two_role_embeddings_per_pool(self):
         pool = make_pool()
