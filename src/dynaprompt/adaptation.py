@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BOS_ID, EOS_ID, PAD_ID, ConfigError, ModelConfig
-from .encoder import TransformerLayer, UnifiedBatch, VisionLanguageModel
+from .encoder import KVCache, TransformerLayer, UnifiedBatch, VisionLanguageModel
 from .ndtensor import ShapeError, Tensor, backward, no_grad, ops
 from .objectives import itc_loss
 from .optim import AdamW
@@ -95,23 +95,32 @@ class CaptionDecoder:
             out.update(layer.parameters(f"{prefix}layers.{i}."))
         return out
 
-    def forward_states(self, prefix_states: Tensor, token_ids: np.ndarray) -> Tensor:
-        """Logits [B, T, vocab] for each token position (strictly causal)."""
+    def forward_states(self, prefix_states: Tensor, token_ids: np.ndarray,
+                       cache: list[KVCache] | None = None) -> Tensor:
+        """Logits [B, T, vocab] for each token position (strictly causal).
+
+        With ``cache`` (one ``KVCache`` per layer) the prefix and tokens
+        continue the sequence the cache holds: they take the next positions,
+        attend over the cached ones too, and their keys and values are
+        appended.  An incremental step passes a [B, 0, d_hidden] prefix.
+        """
         b, p, h = prefix_states.shape
         token_ids = np.asarray(token_ids)
         t = token_ids.shape[1]
-        total = p + t
+        start = len(cache[0]) if cache else 0
+        total = start + p + t
         if total > self.context_len:
             raise ConfigError(f"sequence {total} overflows decoder context "
                               f"{self.context_len}")
         tok = ops.embedding_lookup(self.token_table, token_ids)
-        pos = ops.gather_rows(self.pos_table, np.arange(total))
+        pos = ops.gather_rows(self.pos_table, np.arange(start, total))
         x = ops.add(ops.concat([prefix_states, tok], axis=1), pos)
-        causal = np.where(np.tril(np.ones((total, total), dtype=bool)),
+        causal = np.where(np.tril(np.ones((p + t, total), dtype=bool), k=start),
                           0.0, -1e30)[None, None]
-        for layer in self.layers:
-            x = layer.forward(x, causal)
-        token_states = ops.slice_axis(x, 1, p, total)
+        caches = cache or [None] * len(self.layers)
+        for layer, layer_cache in zip(self.layers, caches):
+            x = layer.forward(x, causal, layer_cache)
+        token_states = ops.slice_axis(x, 1, p, p + t)
         return ops.add(ops.matmul(token_states, self.out_w), self.out_b)
 
 
@@ -119,7 +128,7 @@ class TaskHead:
     """Trainable task-specific parameters over the shared encoder output."""
 
     def __init__(self, task: str, config: ModelConfig,
-                 rng: np.random.Generator, label_space: int | None = None,
+                 label_space: int | None = None,
                  decoder: CaptionDecoder | None = None):
         if task not in TASKS:
             raise ConfigError(f"unknown task {task!r}")
@@ -138,9 +147,8 @@ class TaskHead:
         elif task == "retrieval":
             self.params["proj_v"] = Tensor(np.eye(h), requires_grad=True)
             self.params["proj_t"] = Tensor(np.eye(h), requires_grad=True)
-        elif task == "generation":
-            if decoder is None:
-                self.decoder = CaptionDecoder(config, rng)
+        elif task == "generation" and decoder is None:
+            raise ConfigError("generation needs a CaptionDecoder")
 
     def parameters(self, prefix: str = "head.") -> dict[str, Tensor]:
         out = {f"{prefix}{k}": v for k, v in self.params.items()}
@@ -222,11 +230,11 @@ def retrieval_rank(image_reps: np.ndarray, text_reps: np.ndarray,
     inverse[pairing] = np.arange(ni)
     for k in ks:
         if k <= nt:
-            hits = sum(1 for i in range(ni) if pairing[i] in i2t[i, :k])
-            recall[("i2t", k)] = hits / ni
+            hits = np.count_nonzero(np.any(i2t[:, :k] == pairing[:, None], axis=1))
+            recall[("i2t", k)] = int(hits) / ni
         if k <= ni:
-            hits = sum(1 for j in range(nt) if inverse[j] in t2i[j, :k])
-            recall[("t2i", k)] = hits / nt
+            hits = np.count_nonzero(np.any(t2i[:, :k] == inverse[:, None], axis=1))
+            recall[("t2i", k)] = int(hits) / nt
     return RetrievalResult(i2t_ranking=i2t, t2i_ranking=t2i, recall=recall)
 
 
@@ -272,29 +280,35 @@ def caption_loss(model, pools, decoder: CaptionDecoder,
 
 
 def generate_report(model, pools, decoder: CaptionDecoder,
-                    batch: UnifiedBatch, max_len: int,
-                    mode: str = "greedy") -> list[list[int]]:
-    """Greedy causal decoding until the end token or ``max_len`` tokens."""
-    if mode != "greedy":
-        raise ConfigError(f"unsupported decoding mode {mode!r}")
+                    batch: UnifiedBatch, max_len: int) -> list[list[int]]:
+    """Greedy causal decoding of all rows together; a row stops at the end
+    token or after ``max_len`` tokens.
+
+    The prefix and [BOS] go through the decoder once; each later step feeds
+    only the B tokens just chosen, over the per-layer key/value cache.
+    """
     with no_grad():
         prefix = _image_prefix(model, pools, batch)
-        p = prefix.shape[1]
+        b, p, h = prefix.shape
         if p + 1 + max_len > decoder.context_len:
             raise ConfigError(f"prefix {p} + generation {max_len} overflows "
                               f"decoder context {decoder.context_len}")
-        outputs = []
-        for i in range(batch.size):
-            row = ops.slice_axis(prefix, 0, i, i + 1)
-            tokens = [BOS_ID]
-            for _ in range(max_len):
-                logits = decoder.forward_states(row, np.array([tokens]))
-                nxt = int(np.argmax(logits.data[0, -1]))
-                if nxt == EOS_ID:
-                    break
-                tokens.append(nxt)
-            outputs.append(tokens[1:])
-    return outputs
+        cache = [KVCache() for _ in decoder.layers]
+        tokens = np.zeros((b, max_len), dtype=np.int64)
+        lengths = np.zeros(b, dtype=np.int64)
+        running = np.ones(b, dtype=bool)
+        feed = np.full((b, 1), BOS_ID, dtype=np.int64)
+        for step in range(max_len):
+            logits = decoder.forward_states(prefix, feed, cache)
+            nxt = np.argmax(logits.data[:, -1], axis=-1)
+            running &= nxt != EOS_ID
+            if not running.any():
+                break
+            tokens[running, step] = nxt[running]
+            lengths += running
+            prefix = Tensor(np.empty((b, 0, h)))
+            feed = nxt[:, None]
+    return [row[:n].tolist() for row, n in zip(tokens, lengths)]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .pools import (
     select_prompts,
 )
 
-__all__ = ["UnifiedBatch", "EncodedBatch", "SequenceLayout",
+__all__ = ["UnifiedBatch", "EncodedBatch", "SequenceLayout", "KVCache",
            "VisionLanguageModel", "sequence_layout", "assembled_attention_mask"]
 
 KINDS = ("image_only", "text_only", "image_text")
@@ -156,6 +156,29 @@ def assembled_attention_mask(kind: str, config: ModelConfig,
     return mask
 
 
+class KVCache:
+    """Keys and values [B, heads, L, head_dim] of the L positions one layer
+    has already seen; each cached ``TransformerLayer.forward`` appends its
+    new positions' keys and values."""
+
+    def __init__(self):
+        self.k: Tensor | None = None
+        self.v: Tensor | None = None
+
+    def __len__(self) -> int:
+        return 0 if self.k is None else self.k.shape[2]
+
+    def append_keys(self, k: Tensor) -> Tensor:
+        """Cache ``k`` after the held keys; returns all of them."""
+        self.k = k if self.k is None else ops.concat([self.k, k], axis=2)
+        return self.k
+
+    def append_values(self, v: Tensor) -> Tensor:
+        """Cache ``v`` after the held values; returns all of them."""
+        self.v = v if self.v is None else ops.concat([self.v, v], axis=2)
+        return self.v
+
+
 class TransformerLayer:
     """Pre-norm self-attention block: x + Attn(LN(x)), then x + FFN(LN(x))."""
 
@@ -190,21 +213,31 @@ class TransformerLayer:
         x = ops.reshape(x, (b, length, self.n_heads, self.head_dim))
         return ops.permute(x, (0, 2, 1, 3))
 
-    def attention_probs(self, h: Tensor, mask_add: np.ndarray) -> Tensor:
-        """Masked attention distribution [B, heads, L, L] of the normalized
-        input ``h``; rows sum to one."""
+    def attention_probs(self, h: Tensor, mask_add: np.ndarray,
+                        cache: KVCache | None = None) -> Tensor:
+        """Masked attention distribution [B, heads, L, L_keys] of the
+        normalized input ``h``; rows sum to one.  The keys are ``h``'s own,
+        after those ``cache`` holds (``L_keys`` counts both)."""
         b, length, _ = h.shape
         q = self._split_heads(ops.add(ops.matmul(h, self.wq), self.bq), b, length)
         k = self._split_heads(ops.add(ops.matmul(h, self.wk), self.bk), b, length)
+        if cache is not None:
+            k = cache.append_keys(k)
         scores = ops.scale(ops.matmul(q, ops.permute(k, (0, 1, 3, 2))),
                            1.0 / np.sqrt(self.head_dim))
         return ops.softmax(ops.add_const(scores, mask_add), axis=-1)
 
-    def forward(self, x: Tensor, mask_add: np.ndarray) -> Tensor:
+    def forward(self, x: Tensor, mask_add: np.ndarray,
+                cache: KVCache | None = None) -> Tensor:
+        """``cache`` is None in training and in the encoder; incremental
+        decoding passes one per layer, and ``x`` then continues the sequence
+        it holds."""
         b, length, _ = x.shape
         h = ops.layernorm(x, self.ln1_g, self.ln1_b)
-        probs = self.attention_probs(h, mask_add)
+        probs = self.attention_probs(h, mask_add, cache)
         v = self._split_heads(ops.add(ops.matmul(h, self.wv), self.bv), b, length)
+        if cache is not None:
+            v = cache.append_values(v)
         ctx = ops.permute(ops.matmul(probs, v), (0, 2, 1, 3))
         ctx = ops.reshape(ctx, (b, length, self.d_hidden))
         x = ops.add(x, ops.add(ops.matmul(ctx, self.wo), self.bo))

@@ -51,14 +51,18 @@ EVAL_HEADER = ["task", "metric", "value"]
 # model construction and checkpoint state
 # ---------------------------------------------------------------------------
 
-def build_model(config: ModelConfig):
-    """Seed-deterministic (model, pools, heads) triple."""
+def _backbone(config: ModelConfig):
+    """Seed-deterministic model and pools, plus the generator the
+    pre-training heads draw from."""
     ss = np.random.SeedSequence(config.seed)
     r_model, r_pools, r_heads = (np.random.default_rng(s) for s in ss.spawn(3))
-    model = VisionLanguageModel(config, r_model)
-    pools = PromptPools(config, r_pools)
-    heads = PretrainHeads(config, r_heads)
-    return model, pools, heads
+    return VisionLanguageModel(config, r_model), PromptPools(config, r_pools), r_heads
+
+
+def build_model(config: ModelConfig):
+    """Seed-deterministic (model, pools, heads) triple."""
+    model, pools, r_heads = _backbone(config)
+    return model, pools, PretrainHeads(config, r_heads)
 
 
 def gather_state(model, pools, heads=None, head: TaskHead | None = None
@@ -292,12 +296,12 @@ def _load_matching(config: ModelConfig, checkpoint_path, decoder: bool = False):
 def _task_head(config: ModelConfig, task: str, model) -> TaskHead:
     """The seeded head for ``task``; a caption decoder starts from the
     encoder's layers."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
     decoder = None
     if task == "generation":
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
         decoder = CaptionDecoder(config, rng, encoder_layers=model.layers)
     label_space = 2 if task == "pair_classify" else config.corpus_concepts
-    return TaskHead(task, config, rng, label_space=label_space, decoder=decoder)
+    return TaskHead(task, config, label_space=label_space, decoder=decoder)
 
 
 def run_finetune(config: ModelConfig, corpus: SyntheticCorpus, checkpoint_path,
@@ -360,7 +364,7 @@ def run_eval(config: ModelConfig, corpus: SyntheticCorpus, checkpoint_path,
 
     state = _load_matching(config, checkpoint_path,
                            decoder=task == "generation")
-    model, pools, _ = build_model(config)
+    model, pools, _ = _backbone(config)
     head = _task_head(config, task, model)
     restore_state(state, model, pools, heads=None, head=head)
 

@@ -8,6 +8,7 @@ from dynaprompt.adaptation import (
     CaptionDecoder,
     LabeledBatch,
     TaskHead,
+    _image_prefix,
     caption_loss,
     classify,
     finetune_loss,
@@ -16,7 +17,7 @@ from dynaprompt.adaptation import (
     retrieval_rank,
 )
 from dynaprompt.config import BOS_ID, EOS_ID, ConfigError, ModelConfig
-from dynaprompt.encoder import VisionLanguageModel
+from dynaprompt.encoder import KVCache, VisionLanguageModel, sequence_layout
 from dynaprompt.ndtensor import Tensor, backward, no_grad, ops, tensor
 from dynaprompt.optim import AdamW
 from dynaprompt.pools import PromptPools
@@ -33,16 +34,14 @@ def build(config, seed=0):
 class TestClassify:
     def test_single_class_probability_one(self, tiny_config):
         model, pools = build(tiny_config)
-        head = TaskHead("image_classify", tiny_config,
-                        np.random.default_rng(0), label_space=1)
+        head = TaskHead("image_classify", tiny_config, label_space=1)
         batch = make_batch(tiny_config, "image_only", 2, np.random.default_rng(1))
         probs = classify(model, pools, batch, head)
         np.testing.assert_allclose(probs.data, 1.0, atol=1e-15)
 
     def test_zero_init_head_is_uniform(self, tiny_config):
         model, pools = build(tiny_config)
-        head = TaskHead("vqa", tiny_config, np.random.default_rng(0),
-                        label_space=5)
+        head = TaskHead("vqa", tiny_config, label_space=5)
         batch = make_batch(tiny_config, "image_text", 2, np.random.default_rng(2))
         probs = classify(model, pools, batch, head)
         np.testing.assert_allclose(probs.data, 0.2, atol=1e-15)
@@ -50,7 +49,7 @@ class TestClassify:
     def test_argmax_matches_logit_oracle(self, tiny_config):
         model, pools = build(tiny_config)
         rng = np.random.default_rng(3)
-        head = TaskHead("pair_classify", tiny_config, rng, label_space=4)
+        head = TaskHead("pair_classify", tiny_config, label_space=4)
         head.params["w"].data[:] = rng.normal(size=head.params["w"].shape)
         head.params["b"].data[:] = rng.normal(size=4)
         batch = make_batch(tiny_config, "image_text", 3, rng)
@@ -66,8 +65,7 @@ class TestClassify:
 
     def test_kind_mismatch_rejected(self, tiny_config):
         model, pools = build(tiny_config)
-        head = TaskHead("text_classify", tiny_config,
-                        np.random.default_rng(0), label_space=3)
+        head = TaskHead("text_classify", tiny_config, label_space=3)
         batch = make_batch(tiny_config, "image_only", 1, np.random.default_rng(4))
         with pytest.raises(ConfigError):
             classify(model, pools, batch, head)
@@ -76,8 +74,7 @@ class TestClassify:
 class TestFinetuneStep:
     def _task_setup(self, config, task, label_space, seed=5):
         model, pools = build(config, seed)
-        head = TaskHead(task, config, np.random.default_rng(seed),
-                        label_space=label_space)
+        head = TaskHead(task, config, label_space=label_space)
         params = {**model.parameters(), **pools.parameters(),
                   **head.parameters()}
         return model, pools, head, params
@@ -109,8 +106,7 @@ class TestFinetuneStep:
         cfg = desk_config
         corpus = gen_corpus(CorpusSpec(n_pairs=8, n_concepts=8), seed=11)
         model, pools = build(cfg, seed=8)
-        head = TaskHead("image_classify", cfg, np.random.default_rng(8),
-                        label_space=8)
+        head = TaskHead("image_classify", cfg, label_space=8)
         params = {**model.parameters(), **pools.parameters(),
                   **head.parameters()}
         opt = AdamW(params, lr=1e-3)
@@ -123,8 +119,7 @@ class TestFinetuneStep:
 
     def test_frozen_backbone_only_head_changes(self, tiny_config):
         model, pools = build(tiny_config, seed=9)
-        head = TaskHead("text_classify", tiny_config,
-                        np.random.default_rng(9), label_space=3)
+        head = TaskHead("text_classify", tiny_config, label_space=3)
         model.set_trainable(False)
         for p in pools.parameters().values():
             p.requires_grad = False
@@ -210,13 +205,19 @@ class TestCaptionDecoder:
         np.testing.assert_array_equal(dec.layers[0].wq.data,
                                       model.layers[0].wq.data)
 
-    def test_forced_end_token_gives_empty_generation(self, tiny_config):
+    def test_forced_end_token_gives_empty_generation(self, tiny_config,
+                                                     monkeypatch):
         model, pools = build(tiny_config, seed=16)
         dec = self._decoder(tiny_config)
         dec.out_b.data[EOS_ID] = 30.0
+        calls = []
+        original = CaptionDecoder.forward_states
+        monkeypatch.setattr(CaptionDecoder, "forward_states",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
         batch = make_batch(tiny_config, "image_only", 2, np.random.default_rng(17))
         out = generate_report(model, pools, dec, batch, max_len=5)
         assert out == [[], []]
+        assert len(calls) == 1  # decoding stops once every row has stopped
 
     def test_greedy_decode_is_deterministic(self, tiny_config):
         model, pools = build(tiny_config, seed=18)
@@ -243,6 +244,90 @@ class TestCaptionDecoder:
                 got = dec.forward_states(prefix, mangled).data
                 np.testing.assert_allclose(got[0, :t + 1], base[0, :t + 1],
                                            atol=1e-12)
+
+    def test_cached_steps_match_one_full_call(self, tiny_config):
+        config = ModelConfig.from_dict({**tiny_config.to_dict(), "dec_layers": 2})
+        dec = self._decoder(config, seed=40)
+        dec.out_w.data[:] = np.random.default_rng(41).normal(
+            size=dec.out_w.shape) * 0.3
+        rng = np.random.default_rng(42)
+        prefix = Tensor(rng.normal(size=(2, 3, config.d_hidden)))
+        tokens = rng.integers(4, config.vocab_size, size=(2, 7))
+        with no_grad():
+            full = dec.forward_states(prefix, tokens).data
+            cache = [KVCache() for _ in dec.layers]
+            steps = [dec.forward_states(prefix, tokens[:, :1], cache).data]
+            empty = Tensor(np.empty((2, 0, config.d_hidden)))
+            for i in range(1, 7):
+                steps.append(dec.forward_states(empty, tokens[:, i:i + 1],
+                                                cache).data)
+        assert [len(c) for c in cache] == [3 + 7, 3 + 7]
+        np.testing.assert_allclose(np.concatenate(steps, axis=1), full,
+                                   rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _varied_lengths_setup(tiny_config):
+        """Four captions that stop after 4, 2, 6 (= max_len) and 1 tokens."""
+        config = ModelConfig.from_dict({**tiny_config.to_dict(), "dec_layers": 2})
+        model, pools = (VisionLanguageModel(config, np.random.default_rng(2)),
+                        PromptPools(config, np.random.default_rng(2)))
+        dec = CaptionDecoder(config, np.random.default_rng(102),
+                             encoder_layers=model.layers)
+        dec.out_w.data[:] = np.random.default_rng(202).normal(
+            size=dec.out_w.shape) * 2.0
+        dec.out_b.data[EOS_ID] = 1.0
+        batch = make_batch(config, "image_only", 4, np.random.default_rng(302))
+        return model, pools, dec, batch
+
+    def test_batched_decode_matches_per_row_full_recompute(self, tiny_config):
+        model, pools, dec, batch = self._varied_lengths_setup(tiny_config)
+        max_len = 6
+        got = generate_report(model, pools, dec, batch, max_len=max_len)
+
+        # oracle: one row at a time, the whole prefix and every token so far
+        # recomputed for each new token
+        want = []
+        with no_grad():
+            prefix = _image_prefix(model, pools, batch)
+            for i in range(batch.size):
+                row = ops.slice_axis(prefix, 0, i, i + 1)
+                tokens = [BOS_ID]
+                for _ in range(max_len):
+                    logits = dec.forward_states(row, np.array([tokens])).data
+                    nxt = int(np.argmax(logits[0, -1]))
+                    if nxt == EOS_ID:
+                        break
+                    tokens.append(nxt)
+                want.append(tokens[1:])
+        assert [len(w) for w in want] == [4, 2, 6, 1]
+        assert got == want
+
+    def test_decoding_computes_each_position_once(self, tiny_config,
+                                                  monkeypatch):
+        model, pools, dec, batch = self._varied_lengths_setup(tiny_config)
+        calls = []
+        original = CaptionDecoder.forward_states
+
+        def spy(self, prefix_states, token_ids, *args, **kwargs):
+            calls.append((prefix_states.shape, np.shape(token_ids)))
+            return original(self, prefix_states, token_ids, *args, **kwargs)
+
+        monkeypatch.setattr(CaptionDecoder, "forward_states", spy)
+        max_len = 5
+        out = generate_report(model, pools, dec, batch, max_len=max_len)
+        b = batch.size
+        p = sequence_layout("image_only", tiny_config).total_len  # image + prompts
+        # every row stops by EOS or max_len: the longest row sets the steps
+        steps = min(max_len, max(len(o) for o in out) + 1)
+        assert len(calls) == steps
+        positions = sum(shape[0] * (shape[1] + ids[1]) for shape, ids in calls)
+        assert positions == b * (p + 1) + b * (steps - 1)
+        assert calls[0] == ((b, p, tiny_config.d_hidden), (b, 1))
+        assert all(c == ((b, 0, tiny_config.d_hidden), (b, 1)) for c in calls[1:])
+
+    def test_generation_head_needs_a_decoder(self, tiny_config):
+        with pytest.raises(ConfigError, match="CaptionDecoder"):
+            TaskHead("generation", tiny_config)
 
     def test_context_overflow_rejected(self, tiny_config):
         model, pools = build(tiny_config, seed=24)
