@@ -199,7 +199,7 @@ class RetrievalResult:
 def retrieval_rank(image_reps: np.ndarray, text_reps: np.ndarray,
                    pairing: np.ndarray | None = None,
                    ks: tuple[int, ...] = (1, 5, 10)) -> RetrievalResult:
-    """Cosineranking in both directions with recall at each k.
+    """Cosine ranking in both directions with recall at each k.
 
     ``pairing[i]`` is the index of the text matching image ``i`` (identity by
     default, in which case both counts must agree).  Ties rank the lower

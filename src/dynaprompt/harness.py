@@ -314,8 +314,8 @@ def run_finetune(config: ModelConfig, corpus: SyntheticCorpus, checkpoint_path,
     metrics_path = os.path.join(out_dir, f"finetune_{task}_metrics.csv")
 
     state = _load_matching(config, checkpoint_path)
-    model, pools, heads = build_model(config)
-    restore_state(state, model, pools, heads)
+    model, pools, _ = _backbone(config)
+    restore_state(state, model, pools)
     head = _task_head(config, task, model)
 
     if config.freeze_backbone:

@@ -8,11 +8,21 @@ exactly one backward pass; the next recorded op starts a fresh one.
 
 Tensors produced on an already-consumed tape are treated as constants if they
 are fed into later computations: gradients never flow across tape boundaries.
+
+References run one way only: a tensor points at the node that produced it, a
+node at its inputs, never at its output.  Backward drops each node's inputs
+and gradient rule as it consumes them, so a step's activations are freed by
+reference counting as backward walks past them rather than waiting for the
+cyclic garbage collector.  On glibc, importing this module also keeps freed
+heap memory in the process (see :func:`_retain_freed_heap`), so the next step
+reuses those pages instead of faulting fresh ones in.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
 
 import numpy as np
 
@@ -70,13 +80,17 @@ class Tape:
 
 
 class TapeNode:
-    __slots__ = ("out", "inputs", "grad_fn", "tape")
+    """One recorded op: its inputs, its gradient rule and, during backward,
+    the gradient pending for its output.  It holds no reference to that
+    output, so tensors and nodes never form a cycle."""
 
-    def __init__(self, out, inputs, grad_fn, tape):
-        self.out = out
+    __slots__ = ("inputs", "grad_fn", "tape", "grad")
+
+    def __init__(self, inputs, grad_fn, tape):
         self.inputs = inputs
         self.grad_fn = grad_fn
         self.tape = tape
+        self.grad: np.ndarray | None = None
 
 
 _active_tape: Tape | None = None
@@ -169,7 +183,7 @@ def record_op(out: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
     """
     if _grad_enabled and any(t.requires_grad for t in inputs):
         tape = active_tape()
-        node = TapeNode(out, inputs, grad_fn, tape)
+        node = TapeNode(inputs, grad_fn, tape)
         tape.nodes.append(node)
         out.requires_grad = True
         out.tape_node = node
@@ -193,22 +207,57 @@ def backward(loss: Tensor):
         raise TapeConsumedError("backward() called twice on the same tape")
     tape.consumed = True
 
-    # Intermediate grads live in this dict; only leaves get .grad written.
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # Intermediate grads wait in their producer's node; only leaves get .grad
+    # written.  A consumed node lets go of its gradient, inputs and rule, so
+    # whatever only it kept alive is freed here rather than after the step.
+    node.grad = np.ones_like(loss.data)
     for nd in reversed(tape.nodes):
-        g = grads.pop(id(nd.out), None)
+        g, inputs, grad_fn = nd.grad, nd.inputs, nd.grad_fn
+        nd.grad = nd.inputs = nd.grad_fn = None
         if g is None:
             continue
-        in_grads = nd.grad_fn(g)
-        for t, ig in zip(nd.inputs, in_grads):
+        for t, ig in zip(inputs, grad_fn(g)):
             if ig is None:
                 continue
-            if t.tape_node is not None:
-                if t.tape_node.tape is tape:
-                    key = id(t)
-                    prev = grads.get(key)
-                    grads[key] = ig if prev is None else prev + ig
+            src = t.tape_node
+            if src is not None:
+                if src.tape is tape:
+                    src.grad = ig if src.grad is None else src.grad + ig
                 # else: produced on a consumed tape -> constant here
             elif t.requires_grad:
                 t.grad = ig.copy() if t.grad is None else t.grad + ig
     tape.nodes.clear()
+
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_freed_heap():
+    """Keep glibc from handing freed activation memory back to the kernel.
+
+    With the tape acyclic, every step frees its activations when backward
+    ends.  By default glibc then trims the top of the heap and serves the
+    next step's large arrays from fresh mmaps, so each step faults the same
+    pages in again.  Measured per benchmark unit (2-vCPU VM, glibc 2.36),
+    minor page faults went from 758 with the cycle to 154k without it on a
+    40-step desk pre-training, and from 59k to 880k on a 3-task fine-tune,
+    whose system time rose from 0.15 to 2.38 s.  Serving arrays below 32 MB
+    from the heap and never trimming it keeps those pages mapped for reuse:
+    4 and 68 faults, 0.004 s.  The peak resident size stays the largest
+    step's live set.  Elsewhere than glibc this does nothing.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    if not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_retain_freed_heap()

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from dynaprompt import harness
 from dynaprompt.config import ModelConfig
+from dynaprompt.ndtensor import ops
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -22,7 +23,17 @@ def load_tracing():
 
 
 def test_install_wraps_every_entry_point_and_uninstall_restores(tiny_config,
-                                                                  tmp_path):
+                                                                  tmp_path,
+                                                                  monkeypatch):
+    recorded = []
+
+    def recording(out, inputs, grad_fn, record_op=ops.record_op):
+        out = record_op(out, inputs, grad_fn)
+        if out.tape_node is not None:
+            recorded.append(out.tape_node)
+        return out
+
+    monkeypatch.setattr(ops, "record_op", recording)
     tracer = load_tracing().Tracer()
     patched = []
     try:
@@ -38,6 +49,9 @@ def test_install_wraps_every_entry_point_and_uninstall_restores(tiny_config,
                                         "concepts_per_pair": 1})
         corpus = harness.default_corpus(config)
         ckpt, _ = harness.run_pretrain(config, corpus, tmp_path)
+        # the tracer counts a tape just before backward consumes it
+        step_nodes = tracer.counts["ndtensor.tape_nodes"]
+        assert step_nodes == len(recorded) > 0
         for task in ("pair_classify", "retrieval", "generation"):
             fckpt, _ = harness.run_finetune(config, corpus, ckpt, task,
                                             tmp_path, steps=1)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from dynaprompt.checkpoint import load_checkpoint
+from dynaprompt.checkpoint import load_checkpoint, save_checkpoint
 from dynaprompt.cli import main as cli_main
 from dynaprompt.config import ModelConfig
 from dynaprompt.corpus import CorpusSpec, gen_corpus
@@ -123,6 +123,22 @@ class TestRunFinetuneEval:
         _, results = run_eval(small_config, one, fckpt, "retrieval", tmp_path)
         assert results["recall@1_i2t"] == 1.0
         assert results["recall@1_t2i"] == 1.0
+
+    def test_checkpoint_without_pretraining_heads_finetunes(self, small_config,
+                                                            tmp_path):
+        # fine-tuning reads only the backbone; the MLM/ITM heads stay behind
+        corpus = default_corpus(small_config)
+        ckpt, _ = run_pretrain(small_config, corpus, tmp_path / "pre")
+        config, state = load_checkpoint(ckpt)
+        bare = tmp_path / "bare.ckpt"
+        save_checkpoint(bare, config, {k: v for k, v in state.items()
+                                       if not k.startswith("heads.")})
+        assert len(load_checkpoint(bare)[1]) < len(state)
+        full, _ = run_finetune(small_config, corpus, ckpt, "vqa",
+                               tmp_path / "full")
+        stripped, _ = run_finetune(small_config, corpus, bare, "vqa",
+                                   tmp_path / "bare")
+        assert open(full, "rb").read() == open(stripped, "rb").read()
 
     def test_unknown_task_rejected(self, small_config, tmp_path):
         corpus = default_corpus(small_config)

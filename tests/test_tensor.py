@@ -1,8 +1,13 @@
-"""Tensor/tape semantics: backward, linearity, consumption, fd_check."""
+"""Tensor/tape semantics: backward, linearity, consumption, fd_check,
+and the lifetime of a tape's activations."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from dynaprompt import harness
 from dynaprompt.ndtensor import (
     NumericError,
     ShapeError,
@@ -15,6 +20,9 @@ from dynaprompt.ndtensor import (
     record_op,
     tensor,
 )
+from dynaprompt.ndtensor.tensor import TapeNode
+from dynaprompt.objectives import pretrain_step
+from dynaprompt.optim import AdamW
 
 
 class TestTensorBasics:
@@ -106,6 +114,68 @@ class TestBackward:
         report = fd_check(f, {"x": x, "w1": w1, "b1": b1, "w2": w2})
         assert report.passed, report.summary()
         assert report.max_rel_error < 1e-5
+
+
+class TestTapeLifetime:
+    def test_pretrain_step_leaves_no_cyclic_garbage(self, tiny_config,
+                                                    batch_factory):
+        rng = np.random.default_rng(0)
+        model, pools, heads = harness.build_model(tiny_config)
+        params = {**model.parameters(), **pools.parameters(),
+                  **heads.parameters()}
+        optimizer = AdamW(params, lr=1e-3)
+        batch = batch_factory(tiny_config, "image_text", 2, rng)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            pretrain_step(batch, model, pools, heads, optimizer, tiny_config,
+                          np.random.default_rng(1))
+            gc.collect()
+            cyclic = [type(o).__name__ for o in gc.garbage
+                      if isinstance(o, (Tensor, TapeNode))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert cyclic == []
+
+    def test_intermediate_freed_by_backward(self):
+        x = tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = tensor(np.ones((3, 4)), requires_grad=True)
+        h = ops.gelu(ops.matmul(x, w))
+        buffer = weakref.ref(h.data)
+        loss = ops.sum(ops.mul(h, h))
+        del h
+        backward(loss)
+        # freed while the caller still holds the loss: a consumed node lets
+        # go of its inputs
+        assert buffer() is None
+        assert x.grad is not None and w.grad is not None
+
+    def test_tensor_from_consumed_tape_enters_new_tape_as_constant(self):
+        x = tensor([1.0, 2.0], requires_grad=True)
+        h = ops.mul(x, x)
+        backward(ops.sum(h))
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        y = tensor([3.0, 5.0], requires_grad=True)
+        backward(ops.sum(ops.mul(h, y)))
+        np.testing.assert_array_equal(y.grad, h.data)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])  # no flow into h
+
+    def test_fan_out_gradient_accumulates_in_consumer_order(self):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(3, 4))
+        c1, c2, c3 = (rng.normal(size=(3, 4)) for _ in range(3))
+        x = tensor(data, requires_grad=True)
+        h = ops.scale(x, 1.0)  # an intermediate with three consumers
+        loss = ops.add(ops.add(ops.sum(ops.mul(h, Tensor(c1))),
+                               ops.sum(ops.mul(h, Tensor(c2)))),
+                       ops.sum(ops.mul(h, Tensor(c3))))
+        backward(loss)
+        # consumers run in reverse tape order: g3, then g2, then g1
+        reference = (c3 + c2) + c1
+        assert np.array_equal(x.grad, reference)
 
 
 class TestFdCheck:
