@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BOS_ID, EOS_ID, PAD_ID, ConfigError, ModelConfig
-from .encoder import KVCache, TransformerLayer, UnifiedBatch, VisionLanguageModel
+from .encoder import (KVCache, TransformerLayer, UnifiedBatch,
+                      VisionLanguageModel, sequence_layout)
 from .ndtensor import ShapeError, Tensor, backward, no_grad, ops
 from .objectives import itc_loss
 from .optim import AdamW
@@ -118,9 +119,12 @@ class CaptionDecoder:
         causal = np.where(np.tril(np.ones((p + t, total), dtype=bool), k=start),
                           0.0, -1e30)[None, None]
         caches = cache or [None] * len(self.layers)
-        for layer, layer_cache in zip(self.layers, caches):
-            x = layer.forward(x, causal, layer_cache)
-        token_states = ops.slice_axis(x, 1, p, p + t)
+        last = len(self.layers) - 1
+        for i, (layer, layer_cache) in enumerate(zip(self.layers, caches)):
+            x = layer.forward(x, causal, layer_cache,
+                              rows=(slice(p, p + t),) if i == last else None)
+        # the last layer may have kept only the token rows
+        token_states = ops.slice_axis(x, 1, x.shape[1] - t, x.shape[1])
         return ops.add(ops.matmul(token_states, self.out_w), self.out_b)
 
 
@@ -169,7 +173,8 @@ def _classify_logits(model, pools, batch: UnifiedBatch, head: TaskHead) -> Tenso
     if batch.kind != kind:
         raise ConfigError(f"task {head.task!r} needs {kind!r} batches, "
                           f"got {batch.kind!r}")
-    encoded, _ = model.forward(batch, pools)
+    rows = sequence_layout(kind, model.config).cls_rows()
+    encoded, _ = model.forward(batch, pools, rows=rows)
     if kind == "image_text":
         feats = ops.concat([encoded.cls_visual, encoded.cls_textual], axis=1)
     elif kind == "image_only":
@@ -241,8 +246,11 @@ def retrieval_rank(image_reps: np.ndarray, text_reps: np.ndarray,
 def encode_retrieval_reps(model, pools, image_batch: UnifiedBatch,
                           text_batch: UnifiedBatch, head: TaskHead
                           ) -> tuple[Tensor, Tensor]:
-    enc_v, _ = model.forward(image_batch, pools)
-    enc_t, _ = model.forward(text_batch, pools)
+    def cls_rows(batch):
+        return sequence_layout(batch.kind, model.config).cls_rows()
+
+    enc_v, _ = model.forward(image_batch, pools, rows=cls_rows(image_batch))
+    enc_t, _ = model.forward(text_batch, pools, rows=cls_rows(text_batch))
     return (ops.matmul(enc_v.cls_visual, head.params["proj_v"]),
             ops.matmul(enc_t.cls_textual, head.params["proj_t"]))
 
@@ -253,9 +261,10 @@ def encode_retrieval_reps(model, pools, image_batch: UnifiedBatch,
 
 def _image_prefix(model, pools, batch: UnifiedBatch):
     """Encoder image states ([CLS_v] + patches) plus raw prompt tokens."""
-    encoded, unified = model.forward(batch, pools)
-    lay = unified.layout
-    image_states = ops.slice_axis(encoded.token_states, 1, 0, lay.patches.stop)
+    image_stop = sequence_layout(batch.kind, model.config).patches.stop
+    encoded, unified = model.forward(batch, pools,
+                                     rows=(slice(0, image_stop),))
+    image_states = ops.slice_axis(encoded.token_states, 1, 0, image_stop)
     return ops.concat([image_states, unified.prompt_tokens], axis=1)
 
 

@@ -15,6 +15,13 @@ prompt block with the context it serves.  The encoder itself is a pre-norm
 multi-head self-attention stack; masked positions receive a large negative
 attention logit whose probability underflows to exactly zero, so they cannot
 influence any visible output.
+
+Callers name the positions whose final states they read (``rows``).  When no
+tape is recording, the last layer computes its queries, attention output and
+feed-forward block only at those rows; its keys and values still cover every
+position, so each kept row equals the full pass's row up to float rounding.
+A recording tape runs every position as before: pruning there would reorder
+the weight-gradient sums of training.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, ModelConfig, PAD_ID
-from .ndtensor import NumericError, ShapeError, Tensor, ops
+from .ndtensor import NumericError, ShapeError, Tensor, grad_enabled, ops
 from .pools import (
     IntegrityError,
     PromptPools,
@@ -96,9 +103,14 @@ class UnifiedBatch:
 
 @dataclass
 class EncodedBatch:
-    """Encoder output: all token states plus the per-modality summary states."""
+    """Encoder output: token states plus the per-modality summary states.
 
-    token_states: Tensor                 # [B, L, d_hidden]
+    ``token_states`` holds every position, or, after a no-tape pass that was
+    given ``rows``, only those rows in the order given; a [CLS] state outside
+    the rows kept is None.
+    """
+
+    token_states: Tensor                 # [B, L or rows kept, d_hidden]
     cls_visual: Tensor | None = None     # [B, d_hidden]
     cls_textual: Tensor | None = None    # [B, d_hidden]
 
@@ -115,6 +127,11 @@ class SequenceLayout:
     prompts_t: slice | None = None
     cls_t: int | None = None
     text: slice | None = None
+
+    def cls_rows(self) -> tuple[slice, ...]:
+        """The rows of the [CLS] state(s) this layout has, in order."""
+        return tuple(slice(p, p + 1) for p in (self.cls_v, self.cls_t)
+                     if p is not None)
 
 
 def sequence_layout(kind: str, config: ModelConfig) -> SequenceLayout:
@@ -154,6 +171,22 @@ def assembled_attention_mask(kind: str, config: ModelConfig,
     if layout.text is not None:
         mask[:, layout.text] = token_ids != PAD_ID
     return mask
+
+
+def _take_rows(x: Tensor, rows: tuple[slice, ...]) -> Tensor:
+    """The positions ``rows`` (ascending, disjoint slices) of ``x`` [B, L, d]."""
+    parts = [ops.slice_axis(x, 1, r.start, r.stop) for r in rows]
+    return parts[0] if len(parts) == 1 else ops.concat(parts, axis=1)
+
+
+def _computed_rows(rows: tuple[slice, ...] | None, length: int):
+    """The rows a last layer computes: ``rows`` when no tape records and they
+    leave some position out, else None for all ``length`` positions."""
+    if rows is None or grad_enabled():
+        return None
+    if sum(r.stop - r.start for r in rows) == length:
+        return None
+    return rows
 
 
 class KVCache:
@@ -214,32 +247,47 @@ class TransformerLayer:
         return ops.permute(x, (0, 2, 1, 3))
 
     def attention_probs(self, h: Tensor, mask_add: np.ndarray,
-                        cache: KVCache | None = None) -> Tensor:
-        """Masked attention distribution [B, heads, L, L_keys] of the
-        normalized input ``h``; rows sum to one.  The keys are ``h``'s own,
-        after those ``cache`` holds (``L_keys`` counts both)."""
+                        cache: KVCache | None = None,
+                        rows: tuple[slice, ...] | None = None) -> Tensor:
+        """Masked attention distribution [B, heads, L_q, L_keys] of the
+        normalized input ``h``; rows sum to one.  The queries are at ``rows``
+        of ``h`` (all L if None); the keys are all of ``h``'s own, after
+        those ``cache`` holds (``L_keys`` counts both)."""
         b, length, _ = h.shape
-        q = self._split_heads(ops.add(ops.matmul(h, self.wq), self.bq), b, length)
+        hq = h if rows is None else _take_rows(h, rows)
+        q = self._split_heads(ops.add(ops.matmul(hq, self.wq), self.bq),
+                              b, hq.shape[1])
         k = self._split_heads(ops.add(ops.matmul(h, self.wk), self.bk), b, length)
         if cache is not None:
             k = cache.append_keys(k)
+        if rows is not None and mask_add.shape[-2] > 1:
+            mask_add = mask_add[..., np.r_[rows], :]
         scores = ops.scale(ops.matmul(q, ops.permute(k, (0, 1, 3, 2))),
                            1.0 / np.sqrt(self.head_dim))
         return ops.softmax(ops.add_const(scores, mask_add), axis=-1)
 
     def forward(self, x: Tensor, mask_add: np.ndarray,
-                cache: KVCache | None = None) -> Tensor:
+                cache: KVCache | None = None,
+                rows: tuple[slice, ...] | None = None) -> Tensor:
         """``cache`` is None in training and in the encoder; incremental
         decoding passes one per layer, and ``x`` then continues the sequence
-        it holds."""
+        it holds.
+
+        ``rows`` (ascending, disjoint slices of ``x``'s positions) names the
+        outputs a last layer's caller reads.  With no tape recording the
+        result holds only those rows; under a tape it holds every position.
+        """
         b, length, _ = x.shape
+        rows = _computed_rows(rows, length)
         h = ops.layernorm(x, self.ln1_g, self.ln1_b)
-        probs = self.attention_probs(h, mask_add, cache)
+        probs = self.attention_probs(h, mask_add, cache, rows)
         v = self._split_heads(ops.add(ops.matmul(h, self.wv), self.bv), b, length)
         if cache is not None:
             v = cache.append_values(v)
+        if rows is not None:
+            x = _take_rows(x, rows)
         ctx = ops.permute(ops.matmul(probs, v), (0, 2, 1, 3))
-        ctx = ops.reshape(ctx, (b, length, self.d_hidden))
+        ctx = ops.reshape(ctx, (b, x.shape[1], self.d_hidden))
         x = ops.add(x, ops.add(ops.matmul(ctx, self.wo), self.bo))
 
         h2 = ops.layernorm(x, self.ln2_g, self.ln2_b)
@@ -451,30 +499,42 @@ class VisionLanguageModel:
 
     # -- encoder --------------------------------------------------------------
 
-    def encode(self, states: Tensor, mask: np.ndarray) -> Tensor:
-        """Run the layer stack; returns token states [B, L, d_hidden]."""
+    def encode(self, states: Tensor, mask: np.ndarray,
+               rows: tuple[slice, ...] | None = None) -> Tensor:
+        """Run the layer stack; returns token states [B, L, d_hidden], or
+        only those at ``rows`` when no tape records (see the module doc)."""
         b, length, _ = states.shape
         if mask.shape != (b, length):
             raise ShapeError(f"mask shape {list(mask.shape)} does not match "
                              f"sequence [{b}, {length}]")
         mask_add = np.where(mask[:, None, None, :], 0.0, MASK_LOGIT)
         x = states
+        last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer.forward(x, mask_add)
+            x = layer.forward(x, mask_add, rows=rows if i == last else None)
             if not np.all(np.isfinite(x.data)):
                 raise NumericError(f"non-finite activations after layer {i}")
+        if not self.layers and _computed_rows(rows, length) is not None:
+            x = _take_rows(x, rows)
         return x
 
     def forward(self, batch: UnifiedBatch, pools: PromptPools,
-                select_override=None) -> tuple[EncodedBatch, UnifyResult]:
+                select_override=None, rows: tuple[slice, ...] | None = None
+                ) -> tuple[EncodedBatch, UnifyResult]:
+        """Unify and encode ``batch``.  ``rows`` names the assembled
+        positions whose final states the caller reads (None: all)."""
         unified = self.unify_inputs(batch, pools, select_override)
-        token_states = self.encode(unified.states, unified.mask)
+        token_states = self.encode(unified.states, unified.mask, rows)
         layout = unified.layout
+        kept = (range(layout.total_len)
+                if token_states.shape[1] == layout.total_len
+                else np.r_[rows].tolist())
 
         def pick(pos):
-            if pos is None:
+            if pos not in kept:
                 return None
-            sl = ops.slice_axis(token_states, 1, pos, pos + 1)
+            i = kept.index(pos)
+            sl = ops.slice_axis(token_states, 1, i, i + 1)
             return ops.reshape(sl, (batch.size, self.config.d_hidden))
 
         encoded = EncodedBatch(token_states=token_states,

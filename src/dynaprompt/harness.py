@@ -386,10 +386,10 @@ def run_eval(config: ModelConfig, corpus: SyntheticCorpus, checkpoint_path,
         outputs = generate_report(model, pools, head.decoder, cb.batch,
                                   max_len=config.max_gen_len)
         exact = np.mean([out == cap for out, cap in zip(outputs, cb.captions)])
-        bleu1 = np.mean([bleu(out, cap).cumulative[0] if out else 0.0
-                         for out, cap in zip(outputs, cb.captions)])
-        bleu4 = np.mean([bleu(out, cap).cumulative[3] if out else 0.0
-                         for out, cap in zip(outputs, cb.captions)])
+        scores = [bleu(out, cap).cumulative if out else (0.0, 0.0, 0.0, 0.0)
+                  for out, cap in zip(outputs, cb.captions)]
+        bleu1 = np.mean([s[0] for s in scores])
+        bleu4 = np.mean([s[3] for s in scores])
         results += [("exact_match", float(exact)), ("bleu1", float(bleu1)),
                     ("bleu4", float(bleu4))]
         pred_path = os.path.join(out_dir, "eval_generation_predictions.jsonl")

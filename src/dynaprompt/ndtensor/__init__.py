@@ -8,6 +8,7 @@ from .tensor import (
     Tensor,
     backward,
     flags,
+    grad_enabled,
     no_grad,
     record_op,
     tensor,
@@ -29,9 +30,9 @@ from .ops import (
 from .gradcheck import FdCheckReport, OP_SUITE, fd_check, run_op_suite
 
 __all__ = [
-    "Tensor", "Tape", "backward", "no_grad", "tensor", "zeros", "record_op",
-    "ShapeError", "NumericError", "TapeConsumedError", "flags", "ops", "add",
-    "mul", "matmul", "softmax", "cross_entropy", "layernorm", "gelu",
-    "embedding_lookup", "concat", "mean", "fd_check", "FdCheckReport",
+    "Tensor", "Tape", "backward", "no_grad", "grad_enabled", "tensor", "zeros",
+    "record_op", "ShapeError", "NumericError", "TapeConsumedError", "flags",
+    "ops", "add", "mul", "matmul", "softmax", "cross_entropy", "layernorm",
+    "gelu", "embedding_lookup", "concat", "mean", "fd_check", "FdCheckReport",
     "OP_SUITE", "run_op_suite",
 ]

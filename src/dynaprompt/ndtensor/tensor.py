@@ -31,6 +31,7 @@ __all__ = [
     "Tape",
     "backward",
     "no_grad",
+    "grad_enabled",
     "tensor",
     "zeros",
     "ShapeError",
@@ -71,11 +72,10 @@ flags = _NumericFlags()
 class Tape:
     """Wengert list: nodes in creation order, consumed once by backward."""
 
-    __slots__ = ("nodes", "epoch", "consumed")
+    __slots__ = ("nodes", "consumed")
 
-    def __init__(self, epoch: int):
+    def __init__(self):
         self.nodes: list[TapeNode] = []
-        self.epoch = epoch
         self.consumed = False
 
 
@@ -94,20 +94,19 @@ class TapeNode:
 
 
 _active_tape: Tape | None = None
-_tape_epoch = 0
 _grad_enabled = True
 
 
 def active_tape() -> Tape:
-    """Return the current tape, starting a fresh epoch if none is live."""
-    global _active_tape, _tape_epoch
+    """Return the current tape, starting a fresh one if none is live."""
+    global _active_tape
     if _active_tape is None or _active_tape.consumed:
-        _tape_epoch += 1
-        _active_tape = Tape(_tape_epoch)
+        _active_tape = Tape()
     return _active_tape
 
 
 def grad_enabled() -> bool:
+    """Whether ops record to the tape (False inside :func:`no_grad`)."""
     return _grad_enabled
 
 

@@ -17,7 +17,8 @@ from dynaprompt.adaptation import (
     retrieval_rank,
 )
 from dynaprompt.config import BOS_ID, EOS_ID, ConfigError, ModelConfig
-from dynaprompt.encoder import KVCache, VisionLanguageModel, sequence_layout
+from dynaprompt.encoder import (KVCache, TransformerLayer, VisionLanguageModel,
+                               sequence_layout)
 from dynaprompt.ndtensor import Tensor, backward, no_grad, ops, tensor
 from dynaprompt.optim import AdamW
 from dynaprompt.pools import PromptPools
@@ -325,6 +326,23 @@ class TestCaptionDecoder:
         assert calls[0] == ((b, p, tiny_config.d_hidden), (b, 1))
         assert all(c == ((b, 0, tiny_config.d_hidden), (b, 1)) for c in calls[1:])
 
+    def test_first_decode_call_runs_last_layers_at_kept_rows(self, tiny_config,
+                                                            monkeypatch):
+        model, pools, dec, batch = self._varied_lengths_setup(tiny_config)
+        shapes = []
+        original = ops.gelu
+        monkeypatch.setattr(ops, "gelu",
+                            lambda x: shapes.append(x.shape) or original(x))
+        generate_report(model, pools, dec, batch, max_len=3)
+        b, d_ff = batch.size, 4 * tiny_config.d_hidden
+        lay = sequence_layout("image_only", tiny_config)
+        # encoder: all positions, then the image rows of the prefix;
+        # decoder's first call: prefix and [BOS], then [BOS] alone
+        assert shapes[:4] == [(b, lay.total_len, d_ff),
+                              (b, lay.patches.stop, d_ff),
+                              (b, lay.total_len + 1, d_ff), (b, 1, d_ff)]
+        assert all(s == (b, 1, d_ff) for s in shapes[4:])
+
     def test_generation_head_needs_a_decoder(self, tiny_config):
         with pytest.raises(ConfigError, match="CaptionDecoder"):
             TaskHead("generation", tiny_config)
@@ -353,3 +371,62 @@ class TestCaptionDecoder:
         backward(loss)
         assert np.any(dec.out_w.grad != 0.0)
         assert np.any(dec.token_table.grad != 0.0)
+
+
+class TestTapeIgnoresRows:
+    """Under a recording tape every position runs: the rows a caller names
+    change no loss, gradient or tape node."""
+
+    TASKS = ("pair_classify", "image_classify", "text_classify", "retrieval",
+             "generation")
+
+    @staticmethod
+    def _run(config, task):
+        model, pools = build(config, seed=60)
+        rng = np.random.default_rng(61)
+        if task == "generation":
+            dec = CaptionDecoder(config, np.random.default_rng(62),
+                                 encoder_layers=model.layers)
+            dec.out_w.data[:] = rng.normal(size=dec.out_w.shape) * 0.3
+            head = TaskHead(task, config, decoder=dec)
+            tbatch = CaptionBatch(make_batch(config, "image_only", 2, rng),
+                                  [[5, 6, 7], [8]])
+        elif task == "retrieval":
+            head = TaskHead(task, config)
+            tbatch = (make_batch(config, "image_only", 2, rng),
+                      make_batch(config, "text_only", 2, rng))
+        else:
+            head = TaskHead(task, config, label_space=3)
+            for p in head.params.values():
+                p.data[:] = rng.normal(size=p.shape)
+            kind = {"pair_classify": "image_text", "image_classify": "image_only",
+                    "text_classify": "text_only"}[task]
+            tbatch = LabeledBatch(make_batch(config, kind, 2, rng),
+                                  np.array([0, 2]))
+        params = {**model.parameters(), **pools.parameters(),
+                  **head.parameters()}
+        loss = finetune_loss(model, pools, head, tbatch, config)
+        nodes = len(loss.tape_node.tape.nodes)
+        backward(loss)
+        grads = {k: None if p.grad is None else p.grad.tobytes()
+                 for k, p in params.items()}
+        return loss.data.tobytes(), nodes, grads
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_bitwise_equal_to_every_row(self, tiny_config, task, monkeypatch):
+        config = ModelConfig.from_dict({**tiny_config.to_dict(), "dec_layers": 2})
+        named = self._run(config, task)
+
+        # reference: the same pass with every caller's rows dropped
+        forward, layer_forward = VisionLanguageModel.forward, TransformerLayer.forward
+        monkeypatch.setattr(VisionLanguageModel, "forward",
+                            lambda self, *a, rows=None, **k: forward(self, *a, **k))
+        monkeypatch.setattr(TransformerLayer, "forward",
+                            lambda self, *a, rows=None, **k:
+                            layer_forward(self, *a, **k))
+        every = self._run(config, task)
+        assert named[0] == every[0]
+        assert named[1] == every[1]
+        assert named[2] == every[2]
+        assert any(g is not None and np.frombuffer(g).any()
+                   for k, g in named[2].items() if k.startswith("model.layers."))

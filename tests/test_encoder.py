@@ -10,7 +10,7 @@ from dynaprompt.encoder import (
     assembled_attention_mask,
     sequence_layout,
 )
-from dynaprompt.ndtensor import Tensor, backward, fd_check, ops, tensor
+from dynaprompt.ndtensor import Tensor, backward, fd_check, no_grad, ops, tensor
 from dynaprompt.pools import PromptPools
 from tests.conftest import make_batch
 
@@ -244,6 +244,71 @@ class TestEncode:
         from dynaprompt.ndtensor import NumericError
         with pytest.raises(NumericError, match="layer 1"):
             model.encode(unified.states, unified.mask)
+
+
+def _row_sets(kind, config):
+    """One [CLS], every [CLS] (two apart for image_text) and a prefix."""
+    lay = sequence_layout(kind, config)
+    cls = lay.cls_rows()
+    sets = {"one_cls": cls[:1], "prefix": (slice(0, lay.total_len // 2),)}
+    if len(cls) > 1:
+        sets["both_cls"] = cls
+    return sets
+
+
+class TestLastLayerRows:
+    """Without a tape the last layer computes only the rows a caller reads."""
+
+    @pytest.mark.parametrize("n_layers", [2, 0])
+    @pytest.mark.parametrize("kind", ["image_only", "text_only", "image_text"])
+    def test_kept_rows_match_full_forward(self, tiny_config, kind, n_layers):
+        config = ModelConfig.from_dict({**tiny_config.to_dict(),
+                                        "n_layers": n_layers})
+        model, pools = build(config, seed=21)
+        batch = make_batch(config, kind, 3, np.random.default_rng(22),
+                           text_len=3)
+        with no_grad():
+            full, _ = model.forward(batch, pools)
+            for name, rows in _row_sets(kind, config).items():
+                kept, _ = model.forward(batch, pools, rows=rows)
+                want = full.token_states.data[:, np.r_[rows]]
+                assert kept.token_states.shape == want.shape, name
+                # single-row products may take another BLAS kernel
+                np.testing.assert_allclose(kept.token_states.data, want,
+                                           rtol=0, atol=1e-12, err_msg=name)
+                for attr in ("cls_visual", "cls_textual"):
+                    got, ref = getattr(kept, attr), getattr(full, attr)
+                    if got is not None:
+                        np.testing.assert_allclose(got.data, ref.data,
+                                                   rtol=0, atol=1e-12)
+
+    def test_cls_rows_yield_every_summary_state(self, tiny_config):
+        model, pools = build(tiny_config, seed=23)
+        batch = make_batch(tiny_config, "image_text", 2,
+                           np.random.default_rng(24))
+        rows = sequence_layout("image_text", tiny_config).cls_rows()
+        with no_grad():
+            encoded, _ = model.forward(batch, pools, rows=rows)
+        assert encoded.token_states.shape == (2, 2, tiny_config.d_hidden)
+        assert encoded.cls_visual is not None
+        assert encoded.cls_textual is not None
+
+    def test_last_layer_ffn_sees_only_kept_rows(self, tiny_config, monkeypatch):
+        model, pools = build(tiny_config, seed=25)
+        batch = make_batch(tiny_config, "image_text", 2,
+                           np.random.default_rng(26))
+        lay = sequence_layout("image_text", tiny_config)
+        shapes = []
+        original = ops.gelu
+        monkeypatch.setattr(ops, "gelu",
+                            lambda x: shapes.append(x.shape) or original(x))
+        d_ff = 4 * tiny_config.d_hidden
+        with no_grad():
+            model.forward(batch, pools, rows=lay.cls_rows())
+        assert shapes == [(2, lay.total_len, d_ff), (2, 2, d_ff)]
+        shapes.clear()
+        model.forward(batch, pools, rows=lay.cls_rows())  # a tape records
+        assert shapes == [(2, lay.total_len, d_ff)] * 2
 
 
 class TestEncoderProperties:
