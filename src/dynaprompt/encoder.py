@@ -190,35 +190,31 @@ def _computed_rows(rows: tuple[slice, ...] | None, length: int):
 
 
 class KVCache:
-    """Keys and values [B, heads, L, head_dim] of the L positions one layer
-    has already seen; each cached ``TransformerLayer.forward`` appends its
-    new positions' keys and values."""
+    """Keys and values [B, L, d_hidden] of the L positions one layer has
+    already seen; each cached ``TransformerLayer.forward`` appends its new
+    positions' keys and values."""
 
     def __init__(self):
         self.k: Tensor | None = None
         self.v: Tensor | None = None
 
     def __len__(self) -> int:
-        return 0 if self.k is None else self.k.shape[2]
+        return 0 if self.k is None else self.k.shape[1]
 
-    def append_keys(self, k: Tensor) -> Tensor:
-        """Cache ``k`` after the held keys; returns all of them."""
-        self.k = k if self.k is None else ops.concat([self.k, k], axis=2)
-        return self.k
-
-    def append_values(self, v: Tensor) -> Tensor:
-        """Cache ``v`` after the held values; returns all of them."""
-        self.v = v if self.v is None else ops.concat([self.v, v], axis=2)
-        return self.v
+    def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Cache ``k`` and ``v`` after the held ones; returns all of them."""
+        if self.k is not None:
+            k = ops.concat([self.k, k], axis=1)
+            v = ops.concat([self.v, v], axis=1)
+        self.k, self.v = k, v
+        return k, v
 
 
 class TransformerLayer:
     """Pre-norm self-attention block: x + Attn(LN(x)), then x + FFN(LN(x))."""
 
     def __init__(self, d_hidden: int, n_heads: int, rng: np.random.Generator):
-        self.d_hidden = d_hidden
         self.n_heads = n_heads
-        self.head_dim = d_hidden // n_heads
         d_ff = 4 * d_hidden
 
         def lin(n_in, n_out):
@@ -242,57 +238,37 @@ class TransformerLayer:
                  "wo", "bo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2"]
         return {f"{prefix}{n}": getattr(self, n) for n in names}
 
-    def _split_heads(self, x: Tensor, b: int, length: int) -> Tensor:
-        x = ops.reshape(x, (b, length, self.n_heads, self.head_dim))
-        return ops.permute(x, (0, 2, 1, 3))
-
-    def attention_probs(self, h: Tensor, mask_add: np.ndarray,
-                        cache: KVCache | None = None,
-                        rows: tuple[slice, ...] | None = None) -> Tensor:
-        """Masked attention distribution [B, heads, L_q, L_keys] of the
-        normalized input ``h``; rows sum to one.  The queries are at ``rows``
-        of ``h`` (all L if None); the keys are all of ``h``'s own, after
-        those ``cache`` holds (``L_keys`` counts both)."""
-        b, length, _ = h.shape
-        hq = h if rows is None else _take_rows(h, rows)
-        q = self._split_heads(ops.add(ops.matmul(hq, self.wq), self.bq),
-                              b, hq.shape[1])
-        k = self._split_heads(ops.add(ops.matmul(h, self.wk), self.bk), b, length)
-        if cache is not None:
-            k = cache.append_keys(k)
-        if rows is not None and mask_add.shape[-2] > 1:
-            mask_add = mask_add[..., np.r_[rows], :]
-        scores = ops.scale(ops.matmul(q, ops.permute(k, (0, 1, 3, 2))),
-                           1.0 / np.sqrt(self.head_dim))
-        return ops.softmax(ops.add_const(scores, mask_add), axis=-1)
-
     def forward(self, x: Tensor, mask_add: np.ndarray,
                 cache: KVCache | None = None,
                 rows: tuple[slice, ...] | None = None) -> Tensor:
         """``cache`` is None in training and in the encoder; incremental
         decoding passes one per layer, and ``x`` then continues the sequence
-        it holds.
+        it holds: its positions attend over the cached ones too.
 
         ``rows`` (ascending, disjoint slices of ``x``'s positions) names the
         outputs a last layer's caller reads.  With no tape recording the
-        result holds only those rows; under a tape it holds every position.
+        result holds only those rows: queries, attention output and
+        feed-forward block run there, keys and values at every position.
+        Under a tape it holds every position.
         """
-        b, length, _ = x.shape
-        rows = _computed_rows(rows, length)
+        rows = _computed_rows(rows, x.shape[1])
         h = ops.layernorm(x, self.ln1_g, self.ln1_b)
-        probs = self.attention_probs(h, mask_add, cache, rows)
-        v = self._split_heads(ops.add(ops.matmul(h, self.wv), self.bv), b, length)
+        hq = h if rows is None else _take_rows(h, rows)
+        q = ops.linear(hq, self.wq, self.bq)
+        k = ops.linear(h, self.wk, self.bk)
+        v = ops.linear(h, self.wv, self.bv)
         if cache is not None:
-            v = cache.append_values(v)
+            k, v = cache.append(k, v)
         if rows is not None:
             x = _take_rows(x, rows)
-        ctx = ops.permute(ops.matmul(probs, v), (0, 2, 1, 3))
-        ctx = ops.reshape(ctx, (b, x.shape[1], self.d_hidden))
-        x = ops.add(x, ops.add(ops.matmul(ctx, self.wo), self.bo))
+            if mask_add.shape[-2] > 1:
+                mask_add = mask_add[..., np.r_[rows], :]
+        ctx = ops.attention(q, k, v, mask_add, self.n_heads)
+        x = ops.add(x, ops.linear(ctx, self.wo, self.bo))
 
         h2 = ops.layernorm(x, self.ln2_g, self.ln2_b)
-        ff = ops.add(ops.matmul(ops.gelu(ops.add(ops.matmul(h2, self.w1), self.b1)),
-                                self.w2), self.b2)
+        ff = ops.linear(ops.gelu(ops.linear(h2, self.w1, self.b1)),
+                        self.w2, self.b2)
         return ops.add(x, ff)
 
 

@@ -166,6 +166,14 @@ def _case_matmul_weight(rng):
     return (lambda: ops.sum(ops.matmul(a, w))), {"a": a, "w": w}
 
 
+def _case_linear(rng, x_shape=(2, 3, 4), n_out=3):
+    x = _leaf(rng, x_shape)
+    w, b = _leaf(rng, (x_shape[-1], n_out)), _leaf(rng, (n_out,))
+    c = rng.uniform(-1, 1, size=x_shape[:-1] + (n_out,))
+    return (lambda: ops.sum(ops.mul_const(ops.linear(x, w, b), c))), \
+           {"x": x, "w": w, "b": b}
+
+
 def _case_permute(rng):
     a = _leaf(rng, (2, 3, 4))
     return (lambda: ops.sum(ops.mul(ops.permute(a, (2, 0, 1)),
@@ -227,6 +235,18 @@ def _case_softmax(rng):
     return (lambda: ops.sum(ops.mul_const(ops.softmax(a, axis=-1), w))), {"a": a}
 
 
+def _case_attention(rng):
+    # two heads, fewer query rows than keys, the last key masked for item 0
+    q = _leaf(rng, (2, 2, 4), -2.0, 2.0)
+    k = _leaf(rng, (2, 3, 4), -2.0, 2.0)
+    v = _leaf(rng, (2, 3, 4))
+    mask_add = np.zeros((2, 1, 1, 3))
+    mask_add[0, ..., 2] = -1e30
+    c = rng.uniform(-1, 1, size=(2, 2, 4))
+    return (lambda: ops.sum(ops.mul_const(ops.attention(q, k, v, mask_add, 2),
+                                          c))), {"q": q, "k": k, "v": v}
+
+
 def _case_cross_entropy(rng):
     logits = _leaf(rng, (4, 6), -2.0, 2.0)
     labels = rng.integers(0, 6, size=(4,))
@@ -261,6 +281,8 @@ OP_SUITE: dict = {
     "matmul": _case_matmul,
     "matmul_batched": _case_matmul_batched,
     "matmul_weight": _case_matmul_weight,
+    "linear": _case_linear,
+    "linear_2d": lambda rng: _case_linear(rng, (3, 4), 2),
     "permute": _case_permute,
     "reshape": _case_reshape,
     "concat": _case_concat,
@@ -271,6 +293,7 @@ OP_SUITE: dict = {
     "mean": _case_mean,
     "rowwise_scale": _case_rowwise_scale,
     "softmax": _case_softmax,
+    "attention": _case_attention,
     "cross_entropy": _case_cross_entropy,
     "layernorm": _case_layernorm,
     "gelu": _case_gelu,

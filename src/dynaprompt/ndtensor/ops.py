@@ -9,6 +9,10 @@ every gradient rule stays auditable.
 
 Reductions rely on numpy's deterministic evaluation order, so repeated runs
 over identical inputs are bit-identical.
+
+``linear`` and ``attention`` each record as one node what would otherwise be
+a chain of the ops here, with the same arithmetic in the same order, so they
+equal that chain bit for bit while keeping fewer arrays alive.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from .tensor import NumericError, ShapeError, Tensor, record_op
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "scale", "add_const", "mul_const",
-    "pow_const", "sqrt", "matmul", "permute", "reshape", "concat",
+    "pow_const", "sqrt", "matmul", "linear", "permute", "reshape", "concat",
     "slice_axis", "gather_rows", "embedding_lookup", "sum", "mean",
-    "rowwise_scale", "softmax", "cross_entropy", "layernorm", "gelu",
+    "rowwise_scale", "softmax", "attention", "cross_entropy", "layernorm",
+    "gelu",
 ]
 
 def _as_tensor(x) -> Tensor:
@@ -182,6 +187,36 @@ def matmul(a, b) -> Tensor:
     return record_op(out, (a, b), grad_fn)
 
 
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w + b`` as one node: ``x`` is [n, k] or batched
+    [..., n, k] over the shared weight ``w`` [k, m]; ``b`` is [m].
+
+    The values and gradients equal ``add(matmul(x, w), b)``'s bit for bit;
+    the node keeps only its inputs, not the pre-bias product.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    X, W = x.data, w.data
+    if X.ndim < 2 or W.ndim != 2 or X.shape[-1] != W.shape[0] \
+            or b.shape != W.shape[1:]:
+        raise ShapeError(f"linear shapes disagree: x {list(x.shape)}, "
+                         f"w {list(w.shape)}, b {list(b.shape)}")
+    y = np.matmul(X, W)
+    y += b.data
+    out = Tensor(y)
+
+    def grad_fn(g):
+        gx = np.matmul(g, W.T) if x.requires_grad else None
+        if w.requires_grad:
+            k, n = W.shape
+            gw = np.matmul(X.reshape(-1, k).T, g.reshape(-1, n))
+        else:
+            gw = None
+        gb = _reduce_to(g, b.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return record_op(out, (x, w, b), grad_fn)
+
+
 def permute(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
@@ -339,6 +374,82 @@ def softmax(a, axis: int = -1) -> Tensor:
     return record_op(out, (a,), grad_fn)
 
 
+def attention(q, k, v, mask_add, n_heads: int) -> Tensor:
+    """Masked multi-head scaled dot-product attention as one node.
+
+    ``q`` is [B, Lq, d] and ``k``, ``v`` are [B, L, d]; each splits into
+    ``n_heads`` heads of d / n_heads features.  Per head the scores
+    q k^T / sqrt(d / n_heads) get the constant ``mask_add`` (broadcast into
+    [B, heads, Lq, L]; a large negative entry masks a key), a softmax over
+    the keys weights v, and the heads merge back into [B, Lq, d].
+
+    The values and gradients equal those of the composition of reshape,
+    permute, matmul, scale, add_const and softmax bit for bit.  The node
+    keeps only what its backward reads: its inputs and the probabilities.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 \
+            or k.shape[0] != q.shape[0] or k.shape[2] != q.shape[2]:
+        raise ShapeError(f"attention needs q [B, Lq, d] and k, v [B, L, d], "
+                         f"got {list(q.shape)}, {list(k.shape)}, "
+                         f"{list(v.shape)}")
+    b, lq, d = q.shape
+    length = k.shape[1]
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"{n_heads} heads do not divide width {d}")
+    hd = d // n_heads
+    c = float(1.0 / np.sqrt(hd))
+    mask_add = np.asarray(mask_add, dtype=np.float64)
+    scores_shape = (b, n_heads, lq, length)
+    if np.broadcast_shapes(scores_shape, mask_add.shape) != scores_shape:
+        raise ShapeError(f"mask of shape {list(mask_add.shape)} does not "
+                         f"broadcast into {list(scores_shape)}")
+
+    def heads(a, n):  # [B, n, d] -> [B, heads, n, hd] view
+        return a.reshape(b, n, n_heads, hd).transpose(0, 2, 1, 3)
+
+    # Each matmul operand has the layout the composition gives it, so the
+    # BLAS calls, and with them every rounding, are the same.
+    def keys_t():
+        return np.ascontiguousarray(heads(k.data, length).transpose(0, 1, 3, 2))
+
+    def values():
+        return np.ascontiguousarray(heads(v.data, length))
+
+    p = np.matmul(np.ascontiguousarray(heads(q.data, lq)), keys_t())
+    p *= c
+    p += mask_add
+    if not np.all(np.isfinite(p)):
+        raise NumericError("attention scores are not finite")
+    p -= np.max(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.sum(p, axis=-1, keepdims=True)
+    ctx = np.matmul(p, values())
+    out = Tensor(ctx.transpose(0, 2, 1, 3).reshape(b, lq, d))
+
+    def grad_fn(g):
+        gh = g.reshape(b, lq, n_heads, hd).transpose(0, 2, 1, 3)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = np.matmul(p.swapaxes(-1, -2), gh)
+            gv = gv.transpose(0, 2, 1, 3).reshape(b, length, d)
+        if q.requires_grad or k.requires_grad:
+            gs = np.matmul(gh, values().swapaxes(-1, -2))
+            gs -= np.sum(gs * p, axis=-1, keepdims=True)
+            gs *= p
+            gs *= c
+            if q.requires_grad:
+                gq = np.matmul(gs, keys_t().swapaxes(-1, -2))
+                gq = gq.transpose(0, 2, 1, 3).reshape(b, lq, d)
+            if k.requires_grad:
+                qh = np.ascontiguousarray(heads(q.data, lq))
+                gk = np.matmul(qh.swapaxes(-1, -2), gs)
+                gk = gk.transpose(0, 3, 1, 2).reshape(b, length, d)
+        return gq, gk, gv
+
+    return record_op(out, (q, k, v), grad_fn)
+
+
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log-likelihood of ``labels`` under row-wise softmax.
 
@@ -379,18 +490,26 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(f"layernorm gain/bias must have shape [{d}], got "
                          f"{list(gain.shape)} / {list(bias.shape)}")
     mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.mean((x.data - mu) ** 2, axis=-1, keepdims=True)
+    xhat = x.data - mu
+    y = xhat ** 2
+    var = np.mean(y, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y)
 
     def grad_fn(g):
         gx = None
         if x.requires_grad:
             dxhat = g * gain.data
-            gx = inv * (dxhat
-                        - np.mean(dxhat, axis=-1, keepdims=True)
-                        - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True))
+            tmp = dxhat * xhat
+            m2 = np.mean(tmp, axis=-1, keepdims=True)
+            dxhat -= np.mean(dxhat, axis=-1, keepdims=True)
+            np.multiply(xhat, m2, out=tmp)
+            dxhat -= tmp
+            dxhat *= inv
+            gx = dxhat
         gg = (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None
         gb = g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None
         return gx, gg, gb

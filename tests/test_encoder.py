@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+from dynaprompt.adaptation import CaptionDecoder
 from dynaprompt.config import PAD_ID, ConfigError, ModelConfig
 from dynaprompt.encoder import (
+    KVCache,
+    TransformerLayer,
     UnifiedBatch,
     VisionLanguageModel,
+    _computed_rows,
+    _take_rows,
     assembled_attention_mask,
     sequence_layout,
 )
 from dynaprompt.ndtensor import Tensor, backward, fd_check, no_grad, ops, tensor
+from dynaprompt.ndtensor.tensor import active_tape
 from dynaprompt.pools import PromptPools
 from tests.conftest import make_batch
 
@@ -205,17 +211,24 @@ class TestEncode:
         np.testing.assert_allclose(cls_full, solo.data[:, 0], atol=1e-12)
 
     def test_attention_rows_sum_to_one_under_any_mask(self, tiny_config):
+        # with every value row equal to one vector, the output is that vector
+        # exactly when each query's weights over the keys sum to one
         model, pools = build(tiny_config)
         rng = np.random.default_rng(9)
+        layer = model.layers[0]
         for trial in range(5):
             batch = make_batch(tiny_config, "image_text", 2, rng,
                                text_len=int(rng.integers(1, 6)))
             unified = model.unify_inputs(batch, pools)
             mask_add = np.where(unified.mask[:, None, None, :], 0.0, -1e30)
-            layer = model.layers[0]
             h = ops.layernorm(unified.states, layer.ln1_g, layer.ln1_b)
-            probs = layer.attention_probs(h, mask_add)
-            np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-12)
+            q = ops.linear(h, layer.wq, layer.bq)
+            k = ops.linear(h, layer.wk, layer.bk)
+            const = rng.normal(size=tiny_config.d_hidden)
+            v = Tensor(np.broadcast_to(const, q.shape))
+            out = ops.attention(q, k, v, mask_add, layer.n_heads)
+            np.testing.assert_allclose(out.data, np.broadcast_to(const, q.shape),
+                                       rtol=0, atol=1e-12)
 
     def test_masked_token_cannot_influence_visible_outputs(self, tiny_config):
         model, pools = build(tiny_config)
@@ -309,6 +322,150 @@ class TestLastLayerRows:
         shapes.clear()
         model.forward(batch, pools, rows=lay.cls_rows())  # a tape records
         assert shapes == [(2, lay.total_len, d_ff)] * 2
+
+
+def _split_heads(x: Tensor, n_heads: int) -> Tensor:
+    b, length, d = x.shape
+    x = ops.reshape(x, (b, length, n_heads, d // n_heads))
+    return ops.permute(x, (0, 2, 1, 3))
+
+
+class _HeadSplitCache:
+    """Keys and values [B, heads, L, head_dim], as the composed layer kept
+    them."""
+
+    def __init__(self):
+        self.k = self.v = None
+
+    def __len__(self):
+        return 0 if self.k is None else self.k.shape[2]
+
+
+def composed_forward(layer, x, mask_add, cache=None, rows=None):
+    """``TransformerLayer.forward`` written with the elementary ops that
+    ``ops.linear`` and ``ops.attention`` fuse: the reference the fused layer
+    must match bit for bit.  ``cache`` is a ``_HeadSplitCache``."""
+    b, length, d = x.shape
+    n_heads = layer.n_heads
+    rows = _computed_rows(rows, length)
+    h = ops.layernorm(x, layer.ln1_g, layer.ln1_b)
+    hq = h if rows is None else _take_rows(h, rows)
+    q = _split_heads(ops.add(ops.matmul(hq, layer.wq), layer.bq), n_heads)
+    k = _split_heads(ops.add(ops.matmul(h, layer.wk), layer.bk), n_heads)
+    if cache is not None:
+        k = cache.k = k if cache.k is None else ops.concat([cache.k, k], axis=2)
+    if rows is not None and mask_add.shape[-2] > 1:
+        mask_add = mask_add[..., np.r_[rows], :]
+    scores = ops.scale(ops.matmul(q, ops.permute(k, (0, 1, 3, 2))),
+                       1.0 / np.sqrt(d // n_heads))
+    probs = ops.softmax(ops.add_const(scores, mask_add), axis=-1)
+    v = _split_heads(ops.add(ops.matmul(h, layer.wv), layer.bv), n_heads)
+    if cache is not None:
+        v = cache.v = v if cache.v is None else ops.concat([cache.v, v], axis=2)
+    if rows is not None:
+        x = _take_rows(x, rows)
+    ctx = ops.permute(ops.matmul(probs, v), (0, 2, 1, 3))
+    ctx = ops.reshape(ctx, (b, x.shape[1], d))
+    x = ops.add(x, ops.add(ops.matmul(ctx, layer.wo), layer.bo))
+    h2 = ops.layernorm(x, layer.ln2_g, layer.ln2_b)
+    ff = ops.add(ops.matmul(ops.gelu(ops.add(ops.matmul(h2, layer.w1),
+                                             layer.b1)), layer.w2), layer.b2)
+    return ops.add(x, ff)
+
+
+# tape nodes of one layer forward: 31 composed, 12 fused
+FUSED_NODES_PER_LAYER = 12
+NODES_SAVED_PER_LAYER = 31 - FUSED_NODES_PER_LAYER
+
+
+class TestFusedLayerMatchesComposition:
+    """``ops.linear`` and ``ops.attention`` change no output bit: every
+    path of the fused layer equals ``composed_forward``."""
+
+    # (batch, positions, width, heads): a tiny one and the desk geometry
+    GEOMETRIES = [(2, 7, 16, 2), (8, 74, 64, 4)]
+
+    @staticmethod
+    def _masks(b, length, rng):
+        padding = rng.random((b, length)) < 0.8
+        padding[:, 0] = True
+        causal = np.tril(np.ones((length, length), dtype=bool))
+        return {"padding": np.where(padding[:, None, None, :], 0.0, -1e30),
+                "causal": np.where(causal, 0.0, -1e30)[None, None]}
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_tape_outputs_gradients_and_nodes(self, geometry, monkeypatch):
+        b, length, d, n_heads = geometry
+        rng = np.random.default_rng(30)
+        config = ModelConfig(d_hidden=d, n_heads=n_heads, n_layers=2)
+        model, _ = build(config, seed=31)
+        states = rng.normal(size=(b, length, d))
+        weights = rng.normal(size=(b, length, d))
+        fused_forward = TransformerLayer.forward
+        for name, mask_add in self._masks(b, length, rng).items():
+            runs = []
+            for forward in (fused_forward, composed_forward):
+                monkeypatch.setattr(TransformerLayer, "forward", forward)
+                x = Tensor(states.copy(), requires_grad=True)
+                params = {"x": x}
+                for i, layer in enumerate(model.layers):
+                    params.update(layer.parameters(f"{i}."))
+                for p in params.values():
+                    p.grad = None
+                before = len(active_tape().nodes)  # another test's leftovers
+                out = x
+                for layer in model.layers:
+                    out = layer.forward(out, mask_add)
+                loss = ops.sum(ops.mul_const(out, weights))
+                nodes = len(loss.tape_node.tape.nodes) - before
+                backward(loss)
+                runs.append((out.data.tobytes(), nodes,
+                             {k: p.grad.tobytes() for k, p in params.items()}))
+            (fused, fused_nodes, fused_grads), (ref, ref_nodes, ref_grads) = runs
+            assert fused == ref, name
+            assert fused_grads == ref_grads, name
+            assert fused_nodes == FUSED_NODES_PER_LAYER * len(model.layers) + 2
+            assert ref_nodes - fused_nodes == \
+                NODES_SAVED_PER_LAYER * len(model.layers), name
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_no_tape_kept_rows(self, geometry):
+        b, length, d, n_heads = geometry
+        rng = np.random.default_rng(32)
+        layer = TransformerLayer(d, n_heads, np.random.default_rng(33))
+        x = Tensor(rng.normal(size=(b, length, d)))
+        row_sets = [None, (slice(0, 1),), (slice(0, 1), slice(length - 2, length)),
+                    (slice(1, length // 2),)]
+        with no_grad():
+            for mask_add in self._masks(b, length, rng).values():
+                for rows in row_sets:
+                    fused = layer.forward(x, mask_add, rows=rows)
+                    ref = composed_forward(layer, x, mask_add, rows=rows)
+                    assert fused.shape == ref.shape
+                    assert fused.data.tobytes() == ref.data.tobytes(), rows
+
+    def test_cached_decoding(self, tiny_config, monkeypatch):
+        config = ModelConfig.from_dict({**tiny_config.to_dict(), "dec_layers": 2})
+        dec = CaptionDecoder(config, np.random.default_rng(34))
+        dec.out_w.data[:] = np.random.default_rng(35).normal(
+            size=dec.out_w.shape) * 0.3
+        rng = np.random.default_rng(36)
+        prefix = Tensor(rng.normal(size=(3, 4, config.d_hidden)))
+        empty = Tensor(np.empty((3, 0, config.d_hidden)))
+        tokens = rng.integers(4, config.vocab_size, size=(3, 6))
+        runs = []
+        for forward, cache_type in ((TransformerLayer.forward, KVCache),
+                                    (composed_forward, _HeadSplitCache)):
+            monkeypatch.setattr(TransformerLayer, "forward", forward)
+            cache = [cache_type() for _ in dec.layers]
+            with no_grad():
+                steps = [dec.forward_states(prefix, tokens[:, :1], cache)]
+                for i in range(1, tokens.shape[1]):
+                    steps.append(dec.forward_states(empty, tokens[:, i:i + 1],
+                                                    cache))
+            assert [len(c) for c in cache] == [4 + 6] * 2
+            runs.append([s.data.tobytes() for s in steps])
+        assert runs[0] == runs[1]
 
 
 class TestEncoderProperties:

@@ -8,6 +8,7 @@ import pytest
 from dynaprompt.ndtensor import (
     NumericError,
     ShapeError,
+    backward,
     fd_check,
     ops,
     run_op_suite,
@@ -125,6 +126,32 @@ class TestPlumbingOps:
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
+    def test_layernorm_matches_its_unfused_expressions_bitwise(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 5, 8)) * 3 + 1
+        gain, bias = rng.normal(size=8), rng.normal(size=8)
+        w = rng.normal(size=x.shape)
+        mu = np.mean(x, axis=-1, keepdims=True)
+        var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x - mu) * inv
+        dxhat = w * gain
+        want = {
+            "out": xhat * gain + bias,
+            "x": inv * (dxhat - np.mean(dxhat, axis=-1, keepdims=True)
+                        - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)),
+            "gain": (w * xhat).reshape(-1, 8).sum(axis=0),
+            "bias": w.reshape(-1, 8).sum(axis=0),
+        }
+        leaves = {"x": tensor(x, requires_grad=True),
+                  "gain": tensor(gain, requires_grad=True),
+                  "bias": tensor(bias, requires_grad=True)}
+        out = ops.layernorm(leaves["x"], leaves["gain"], leaves["bias"])
+        backward(ops.sum(ops.mul_const(out, w)))  # out's gradient is w
+        got = {"out": out.data, **{k: t.grad for k, t in leaves.items()}}
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+
     def test_rowwise_scale(self):
         rng = np.random.default_rng(8)
         a, s = rng.normal(size=(4, 3)), rng.normal(size=(4,))
@@ -146,6 +173,10 @@ class TestOpSuiteGradients:
             f, params = OP_SUITE[name](np.random.default_rng(seed))
             report = fd_check(f, params)
             assert report.passed, f"{name}[seed={seed}]: {report.summary()}"
+
+    def test_every_op_has_a_case(self):
+        # each op in ops.__all__ is differentiable, fused ones included
+        assert set(ops.__all__) - set(OP_SUITE) == set()
 
     def test_suite_runner(self):
         passed, worst = run_op_suite(seeds=2)
