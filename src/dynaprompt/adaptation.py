@@ -125,7 +125,7 @@ class CaptionDecoder:
                               rows=(slice(p, p + t),) if i == last else None)
         # the last layer may have kept only the token rows
         token_states = ops.slice_axis(x, 1, x.shape[1] - t, x.shape[1])
-        return ops.add(ops.matmul(token_states, self.out_w), self.out_b)
+        return ops.linear(token_states, self.out_w, self.out_b)
 
 
 class TaskHead:
@@ -181,7 +181,7 @@ def _classify_logits(model, pools, batch: UnifiedBatch, head: TaskHead) -> Tenso
         feats = encoded.cls_visual
     else:
         feats = encoded.cls_textual
-    return ops.add(ops.matmul(feats, head.params["w"]), head.params["b"])
+    return ops.linear(feats, head.params["w"], head.params["b"])
 
 
 def classify(model: VisionLanguageModel, pools: PromptPools,

@@ -150,14 +150,3 @@ def corpus_to_json(corpus: SyntheticCorpus) -> str:
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 
-
-def corpus_from_json(text: str) -> SyntheticCorpus:
-    doc = json.loads(text)
-    spec = CorpusSpec(**doc["spec"])
-    pairs = [CorpusPair(patches=np.array(p["patches"], dtype=np.float64),
-                        tokens=np.array(p["tokens"], dtype=np.int64),
-                        answer_label=p["answer_label"],
-                        class_label=p["class_label"],
-                        concepts=tuple(p["concepts"]))
-             for p in doc["pairs"]]
-    return SyntheticCorpus(spec=spec, seed=doc["seed"], pairs=pairs)

@@ -55,18 +55,13 @@ MASK_LOGIT = -1e30
 
 @dataclass
 class UnifiedBatch:
-    """One batch of inputs tagged by modality combination.
-
-    ``attention_mask`` covers the *assembled* sequence (prompts and [CLS]
-    included); ``mlm_labels`` aligns with ``token_ids`` and holds -1 at
-    unmasked positions.
-    """
+    """One batch of inputs tagged by modality combination.  The attention
+    mask of its assembled sequence follows from these fields (see
+    ``assembled_attention_mask``)."""
 
     kind: str
     token_ids: np.ndarray | None = None          # int [B, L_t]
     patch_features: np.ndarray | None = None     # f64 [B, L_v, patch_dim]
-    attention_mask: np.ndarray | None = None     # bool [B, L_assembled]
-    mlm_labels: np.ndarray | None = None         # int [B, L_t], -1 = unmasked
 
     def validate(self, config: ModelConfig):
         if self.kind not in KINDS:
@@ -88,12 +83,6 @@ class UnifiedBatch:
             if self.patch_features.ndim != 3 or self.patch_features.shape[1:] != expect:
                 raise ShapeError(f"patch_features must be [B, {expect[0]}, {expect[1]}], "
                                  f"got {list(self.patch_features.shape)}")
-        layout = sequence_layout(self.kind, config)
-        if self.attention_mask is None:
-            raise ConfigError("attention_mask is required")
-        if self.attention_mask.shape[-1] != layout.total_len:
-            raise ShapeError(f"attention_mask length {self.attention_mask.shape[-1]} "
-                             f"!= assembled length {layout.total_len}")
 
     @property
     def size(self) -> int:
@@ -158,15 +147,9 @@ def sequence_layout(kind: str, config: ModelConfig) -> SequenceLayout:
     raise ConfigError(f"unknown batch kind {kind!r}")
 
 
-def assembled_attention_mask(kind: str, config: ModelConfig,
-                             token_ids: np.ndarray | None,
-                             batch_size: int | None = None) -> np.ndarray:
+def assembled_attention_mask(layout: SequenceLayout, batch_size: int,
+                             token_ids: np.ndarray | None) -> np.ndarray:
     """True where a position is attendable; only text padding is masked."""
-    layout = sequence_layout(kind, config)
-    if token_ids is not None:
-        batch_size = token_ids.shape[0]
-    if batch_size is None:
-        raise ConfigError("batch_size required when there is no text")
     mask = np.ones((batch_size, layout.total_len), dtype=bool)
     if layout.text is not None:
         mask[:, layout.text] = token_ids != PAD_ID
@@ -357,8 +340,7 @@ class VisionLanguageModel:
                              f"got {list(feats.shape)}")
         if position_ids is None:
             position_ids = np.arange(feats.shape[1])
-        proj = ops.add(ops.matmul(Tensor(feats), self.patch_proj_w),
-                       self.patch_proj_b)
+        proj = ops.linear(Tensor(feats), self.patch_proj_w, self.patch_proj_b)
         pos = ops.gather_rows(self.patch_pos, position_ids)
         return ops.add(proj, pos)
 
@@ -384,7 +366,7 @@ class VisionLanguageModel:
             tok = assemble_prompt_tokens(sel, role)
             blocks.append(ops.reshape(tok, (1,) + tok.shape))
         block = blocks[0] if len(blocks) == 1 else ops.concat(blocks, axis=0)
-        return ops.add(ops.matmul(block, proj_w), proj_b)
+        return ops.linear(block, proj_w, proj_b)
 
     @staticmethod
     def _per_item(queries: Tensor) -> list[Tensor]:
@@ -396,7 +378,8 @@ class VisionLanguageModel:
     def unify_inputs(self, batch: UnifiedBatch, pools: PromptPools,
                      select_override: dict[str, np.ndarray] | None = None
                      ) -> UnifyResult:
-        """Assemble the prompt-unified sequence for a batch (see module doc).
+        """Assemble the prompt-unified sequence for a batch (see module doc)
+        and its attention mask, which masks only text padding.
 
         ``select_override`` pins pool selections (keys "visual"/"textual" to
         [B, n_sel] index arrays), used to hold the non-differentiable
@@ -430,8 +413,8 @@ class VisionLanguageModel:
                 selections_t, RoleTag.VISUAL_CONTEXT,
                 self.text_to_hidden_w, self.text_to_hidden_b)
             segments.append(self._cls_segment(self.cls_v, b))
-            segments.append(ops.add(ops.matmul(patch_emb, self.vis_to_hidden_w),
-                                    self.vis_to_hidden_b))
+            segments.append(ops.linear(patch_emb, self.vis_to_hidden_w,
+                                       self.vis_to_hidden_b))
             segments.append(prompt_tokens)
         elif batch.kind == "text_only":
             queries = self._per_item(query_fn(text_emb, text_valid))
@@ -442,8 +425,8 @@ class VisionLanguageModel:
                 selections_v, RoleTag.TEXTUAL_CONTEXT,
                 self.vis_to_hidden_w, self.vis_to_hidden_b))
             segments.append(self._cls_segment(self.cls_t, b))
-            segments.append(ops.add(ops.matmul(text_emb, self.text_to_hidden_w),
-                                    self.text_to_hidden_b))
+            segments.append(ops.linear(text_emb, self.text_to_hidden_w,
+                                       self.text_to_hidden_b))
         else:  # image_text: same-modality prompts on both sides
             vqueries = self._per_item(query_fn(patch_emb))
             tqueries = self._per_item(query_fn(text_emb, text_valid))
@@ -452,8 +435,8 @@ class VisionLanguageModel:
             selections_t = self._select_batch(pools.textual, tqueries, c.n_sel,
                                               ov.get("textual"))
             segments.append(self._cls_segment(self.cls_v, b))
-            segments.append(ops.add(ops.matmul(patch_emb, self.vis_to_hidden_w),
-                                    self.vis_to_hidden_b))
+            segments.append(ops.linear(patch_emb, self.vis_to_hidden_w,
+                                       self.vis_to_hidden_b))
             segments.append(self._prompt_segment(
                 selections_v, RoleTag.VISUAL_CONTEXT,
                 self.vis_to_hidden_w, self.vis_to_hidden_b))
@@ -461,15 +444,16 @@ class VisionLanguageModel:
                 selections_t, RoleTag.TEXTUAL_CONTEXT,
                 self.text_to_hidden_w, self.text_to_hidden_b))
             segments.append(self._cls_segment(self.cls_t, b))
-            segments.append(ops.add(ops.matmul(text_emb, self.text_to_hidden_w),
-                                    self.text_to_hidden_b))
+            segments.append(ops.linear(text_emb, self.text_to_hidden_w,
+                                       self.text_to_hidden_b))
 
         states = ops.concat(segments, axis=1)
         if states.shape[1] != layout.total_len:
             raise IntegrityError(f"assembled length {states.shape[1]} != "
                                  f"layout length {layout.total_len}")
-        return UnifyResult(states=states, mask=batch.attention_mask,
-                           layout=layout, selections_v=selections_v,
+        mask = assembled_attention_mask(layout, b, batch.token_ids)
+        return UnifyResult(states=states, mask=mask, layout=layout,
+                           selections_v=selections_v,
                            selections_t=selections_t,
                            prompt_tokens=prompt_tokens)
 

@@ -29,7 +29,7 @@ from .bleu import bleu
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig, PAD_ID
 from .corpus import CorpusSpec, SyntheticCorpus, gen_corpus
-from .encoder import UnifiedBatch, VisionLanguageModel, assembled_attention_mask
+from .encoder import UnifiedBatch, VisionLanguageModel
 from .ndtensor import no_grad
 from .objectives import PretrainHeads, PretrainLossReport, pretrain_step
 from .optim import AdamW
@@ -119,24 +119,17 @@ def batch_from_pairs(pairs, config: ModelConfig, kind: str) -> UnifiedBatch:
     token_ids = _pad_tokens(pairs, config) if kind != "image_only" else None
     patches = (np.stack([p.patches for p in pairs])
                if kind != "text_only" else None)
-    mask = assembled_attention_mask(kind, config, token_ids, len(pairs))
-    return UnifiedBatch(kind=kind, token_ids=token_ids,
-                        patch_features=patches, attention_mask=mask)
-
-
-def _derange_pairs(pairs):
-    return [pairs[(i + 1) % len(pairs)] for i in range(len(pairs))]
+    return UnifiedBatch(kind=kind, token_ids=token_ids, patch_features=patches)
 
 
 def _itm_eval_batch(pairs, config):
-    """Positives plus rolled negatives with 1/0 labels."""
-    neg_text = _derange_pairs(pairs)
-    token_ids = np.concatenate([_pad_tokens(pairs, config),
-                                _pad_tokens(neg_text, config)])
+    """Positives plus rolled negatives (image i, text i+1 mod N) with 1/0
+    labels."""
+    ids = _pad_tokens(pairs, config)
+    token_ids = np.concatenate([ids, np.roll(ids, -1, axis=0)])
     patches = np.concatenate([np.stack([p.patches for p in pairs])] * 2)
-    mask = assembled_attention_mask("image_text", config, token_ids)
     batch = UnifiedBatch(kind="image_text", token_ids=token_ids,
-                         patch_features=patches, attention_mask=mask)
+                         patch_features=patches)
     labels = np.concatenate([np.ones(len(pairs), dtype=np.int64),
                              np.zeros(len(pairs), dtype=np.int64)])
     return LabeledBatch(batch, labels)

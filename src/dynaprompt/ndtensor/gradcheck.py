@@ -119,11 +119,6 @@ def _case_div(rng):
     return (lambda: ops.sum(ops.div(a, b))), {"a": a, "b": b}
 
 
-def _case_neg(rng):
-    a = _leaf(rng, (5,))
-    return (lambda: ops.sum(ops.mul(ops.neg(a), a))), {"a": a}
-
-
 def _case_scale(rng):
     a = _leaf(rng, (4,))
     return (lambda: ops.sum(ops.scale(a, 2.5))), {"a": a}
@@ -272,7 +267,6 @@ OP_SUITE: dict = {
     "sub": _case_sub,
     "mul": _case_mul,
     "div": _case_div,
-    "neg": _case_neg,
     "scale": _case_scale,
     "add_const": _case_add_const,
     "mul_const": _case_mul_const,

@@ -23,7 +23,7 @@ from scipy.special import erf as _erf
 from .tensor import NumericError, ShapeError, Tensor, record_op
 
 __all__ = [
-    "add", "sub", "mul", "div", "neg", "scale", "add_const", "mul_const",
+    "add", "sub", "mul", "div", "scale", "add_const", "mul_const",
     "pow_const", "sqrt", "matmul", "linear", "permute", "reshape", "concat",
     "slice_axis", "gather_rows", "embedding_lookup", "sum", "mean",
     "rowwise_scale", "softmax", "attention", "cross_entropy", "layernorm",
@@ -88,12 +88,6 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     return _binary(a, b, np.divide,
                    lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data)
-    return record_op(out, (a,), lambda g: (-g,))
 
 
 def scale(a, c: float) -> Tensor:
@@ -535,51 +529,3 @@ def gelu(a) -> Tensor:
         return (g * (cdf + a.data * pdf),)
 
     return record_op(out, (a,), grad_fn)
-
-
-# ---------------------------------------------------------------------------
-# operator sugar on Tensor
-# ---------------------------------------------------------------------------
-
-def _coerce(other):
-    if isinstance(other, Tensor):
-        return other
-    if isinstance(other, (int, float, np.floating, np.integer)):
-        return float(other)
-    return Tensor(other)
-
-
-def _t_add(self, other):
-    o = _coerce(other)
-    return add_const(self, o) if isinstance(o, float) else add(self, o)
-
-
-def _t_sub(self, other):
-    o = _coerce(other)
-    return add_const(self, -o) if isinstance(o, float) else sub(self, o)
-
-
-def _t_rsub(self, other):
-    return add_const(neg(self), _coerce(other))
-
-
-def _t_mul(self, other):
-    o = _coerce(other)
-    return scale(self, o) if isinstance(o, float) else mul(self, o)
-
-
-def _t_div(self, other):
-    o = _coerce(other)
-    return scale(self, 1.0 / o) if isinstance(o, float) else div(self, o)
-
-
-Tensor.__add__ = _t_add
-Tensor.__radd__ = _t_add
-Tensor.__sub__ = _t_sub
-Tensor.__rsub__ = _t_rsub
-Tensor.__mul__ = _t_mul
-Tensor.__rmul__ = _t_mul
-Tensor.__truediv__ = _t_div
-Tensor.__neg__ = neg
-Tensor.__matmul__ = matmul
-Tensor.__pow__ = pow_const

@@ -32,8 +32,6 @@ __all__ = [
     "backward",
     "no_grad",
     "grad_enabled",
-    "tensor",
-    "zeros",
     "ShapeError",
     "NumericError",
     "TapeConsumedError",
@@ -161,16 +159,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={list(self.shape)}{flag})"
-
-    # Arithmetic operators are installed by dynaprompt.ndtensor.ops.
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
 
 
 def record_op(out: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:

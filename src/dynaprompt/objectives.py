@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import FIRST_CONTENT_ID, MASK_ID, ModelConfig, PAD_ID
-from .encoder import EncodedBatch, UnifiedBatch, VisionLanguageModel, sequence_layout
+from .config import FIRST_CONTENT_ID, MASK_ID, ModelConfig
+from .encoder import EncodedBatch, UnifiedBatch, VisionLanguageModel
 from .ndtensor import NumericError, ShapeError, Tensor, backward, ops
 from .optim import AdamW
 from .pools import PromptPools, surrogate_loss
@@ -136,7 +136,7 @@ def mlm_loss(encoded: EncodedBatch, mlm_labels: np.ndarray, heads: PretrainHeads
     text_states = ops.slice_axis(states, 1, text_start, text_start + lt)
     flat = ops.reshape(text_states, (b * lt, h))
     selected = ops.gather_rows(flat, picked)
-    logits = ops.add(ops.matmul(selected, heads.mlm_w), heads.mlm_b)
+    logits = ops.linear(selected, heads.mlm_w, heads.mlm_b)
     return ops.cross_entropy(logits, flat_labels[picked]), int(picked.size)
 
 
@@ -147,7 +147,7 @@ def itm_loss(cls_visual: Tensor, cls_textual: Tensor, labels: np.ndarray,
     if np.any((labels != 0) & (labels != 1)):
         raise ValueError("itm labels must be 0/1")
     pair = ops.concat([cls_visual, cls_textual], axis=1)
-    logits = ops.add(ops.matmul(pair, heads.itm_w), heads.itm_b)
+    logits = ops.linear(pair, heads.itm_w, heads.itm_b)
     return ops.cross_entropy(logits, labels)
 
 
@@ -197,19 +197,13 @@ class FrozenStep:
     overrides: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
 
-def _derange(batch: UnifiedBatch, config: ModelConfig) -> UnifiedBatch:
+def _derange(batch: UnifiedBatch) -> UnifiedBatch:
     """Negative pairs: image i against text (i+1) mod B."""
-    b = batch.size
-    if b < 2:
+    if batch.size < 2:
         raise SamplingError("need batch size >= 2 to build matching negatives")
-    rolled_ids = np.roll(batch.token_ids, -1, axis=0)
-    rolled_mask = batch.attention_mask.copy()
-    layout = sequence_layout(batch.kind, config)
-    rolled_mask[:, layout.text] = np.roll(
-        batch.attention_mask[:, layout.text], -1, axis=0)
-    return UnifiedBatch(kind="image_text", token_ids=rolled_ids,
-                        patch_features=batch.patch_features,
-                        attention_mask=rolled_mask)
+    return UnifiedBatch(kind="image_text",
+                        token_ids=np.roll(batch.token_ids, -1, axis=0),
+                        patch_features=batch.patch_features)
 
 
 def _capture(unified, key, captured):
@@ -259,9 +253,7 @@ def combined_pretrain_loss(batch: UnifiedBatch, model: VisionLanguageModel,
 
     # 1) masked-text pass -> token prediction
     masked_batch = UnifiedBatch(kind="image_text", token_ids=corrupted,
-                                patch_features=batch.patch_features,
-                                attention_mask=batch.attention_mask,
-                                mlm_labels=labels)
+                                patch_features=batch.patch_features)
     enc_mlm, uni_mlm = model.forward(masked_batch, pools, select_override=ov("mlm"))
     _capture(uni_mlm, "mlm", captured)
     l_mlm, masked_count = mlm_loss(enc_mlm, labels, heads,
@@ -272,7 +264,7 @@ def combined_pretrain_loss(batch: UnifiedBatch, model: VisionLanguageModel,
     _capture(uni_pos, "itm_pos", captured)
 
     # 3) deranged pass -> negative matching
-    neg_batch = _derange(batch, config)
+    neg_batch = _derange(batch)
     enc_neg, uni_neg = model.forward(neg_batch, pools, select_override=ov("itm_neg"))
     _capture(uni_neg, "itm_neg", captured)
 
@@ -283,15 +275,9 @@ def combined_pretrain_loss(batch: UnifiedBatch, model: VisionLanguageModel,
     l_itm = itm_loss(cls_v, cls_t, itm_labels, heads)
 
     # 4) single-modality passes -> contrastive alignment
-    img_batch = UnifiedBatch(
-        kind="image_only", patch_features=batch.patch_features,
-        attention_mask=np.ones((b, sequence_layout("image_only", config).total_len),
-                               dtype=bool))
-    txt_mask = np.ones((b, sequence_layout("text_only", config).total_len), dtype=bool)
-    lay_t = sequence_layout("text_only", config)
-    txt_mask[:, lay_t.text] = batch.token_ids != PAD_ID
-    txt_batch = UnifiedBatch(kind="text_only", token_ids=batch.token_ids,
-                             attention_mask=txt_mask)
+    img_batch = UnifiedBatch(kind="image_only",
+                             patch_features=batch.patch_features)
+    txt_batch = UnifiedBatch(kind="text_only", token_ids=batch.token_ids)
     enc_img, uni_img = model.forward(img_batch, pools, select_override=ov("itc_v"))
     _capture(uni_img, "itc_v", captured)
     enc_txt, uni_txt = model.forward(txt_batch, pools, select_override=ov("itc_t"))
@@ -339,7 +325,6 @@ def end_to_end_fd_case(seeds: int = 100, tol: float = 1e-5, h: float = 1e-5,
     loss is a smooth function of the parameters (the selection path is
     non-differentiable by design).  Returns the worst relative error.
     """
-    from .encoder import assembled_attention_mask
     from .ndtensor import fd_check
     from .pools import PromptPools as _Pools
 
@@ -360,9 +345,7 @@ def end_to_end_fd_case(seeds: int = 100, tol: float = 1e-5, h: float = 1e-5,
         batch = UnifiedBatch(
             kind="image_text", token_ids=token_ids,
             patch_features=rng.normal(size=(2, config.patch_count,
-                                            config.patch_dim)),
-            attention_mask=assembled_attention_mask("image_text", config,
-                                                    token_ids))
+                                            config.patch_dim)))
         _, _, frozen = combined_pretrain_loss(batch, model, pools, heads,
                                               config, rng=rng, capture=True)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dynaprompt.config import ModelConfig
-from dynaprompt.encoder import UnifiedBatch, assembled_attention_mask
+from dynaprompt.encoder import UnifiedBatch
 from dynaprompt.pools import PromptPools
 
 
@@ -30,7 +30,8 @@ def tiny_config():
 
 
 def make_batch(config, kind, batch_size, rng, text_len=None):
-    """Random batch of the requested kind with valid masks."""
+    """Random batch of the requested kind; text rows hold ``text_len``
+    content tokens, then padding."""
     token_ids = None
     patches = None
     if kind in ("text_only", "image_text"):
@@ -39,9 +40,7 @@ def make_batch(config, kind, batch_size, rng, text_len=None):
         token_ids[:, :n] = rng.integers(4, config.vocab_size, size=(batch_size, n))
     if kind in ("image_only", "image_text"):
         patches = rng.normal(size=(batch_size, config.patch_count, config.patch_dim))
-    mask = assembled_attention_mask(kind, config, token_ids, batch_size)
-    return UnifiedBatch(kind=kind, token_ids=token_ids, patch_features=patches,
-                        attention_mask=mask)
+    return UnifiedBatch(kind=kind, token_ids=token_ids, patch_features=patches)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from dynaprompt.harness import (
     run_finetune,
     run_pretrain,
 )
-from dynaprompt.ndtensor import backward, no_grad, run_op_suite, tensor
+from dynaprompt.ndtensor import Tensor, backward, no_grad, run_op_suite
 from dynaprompt.objectives import (
     apply_mlm_masking,
     combined_pretrain_loss,
@@ -83,7 +83,7 @@ class TestCriterion2SelectionOracle:
                 src = int(rng.integers(0, pool_size))
                 pool.keys.data[(src + 1) % pool_size] = pool.keys.data[src]
             query = rng.normal(size=key_dim)
-            got = select_prompts(pool, tensor(query), n_sel).indices
+            got = select_prompts(pool, Tensor(query), n_sel).indices
             sims = pool.keys.data @ query / (
                 np.linalg.norm(pool.keys.data, axis=1) * np.linalg.norm(query))
             want = sorted(range(pool_size), key=lambda i: (-sims[i], i))[:n_sel]
@@ -97,9 +97,9 @@ class TestCriterion3ScaleInvariance:
             rng = np.random.default_rng(seed)
             pool = PromptPool("textual", 64, 12, 4, rng)
             x = rng.normal(size=(int(rng.integers(1, 10)), 12))
-            base = select_prompts(pool, query_fn(tensor(x)), 5).indices
+            base = select_prompts(pool, query_fn(Tensor(x)), 5).indices
             for c in (1e-3, 1.0, 1e3):
-                got = select_prompts(pool, query_fn(tensor(c * x)), 5).indices
+                got = select_prompts(pool, query_fn(Tensor(c * x)), 5).indices
                 assert got == base, f"seed {seed}, c={c}"
         report(3, "index sequences identical for c in {1e-3, 1, 1e3}")
 

@@ -12,10 +12,9 @@ from dynaprompt.encoder import (
     VisionLanguageModel,
     _computed_rows,
     _take_rows,
-    assembled_attention_mask,
     sequence_layout,
 )
-from dynaprompt.ndtensor import Tensor, backward, fd_check, no_grad, ops, tensor
+from dynaprompt.ndtensor import Tensor, backward, fd_check, no_grad, ops
 from dynaprompt.ndtensor.tensor import active_tape
 from dynaprompt.pools import PromptPools
 from tests.conftest import make_batch
@@ -134,14 +133,6 @@ class TestUnifyLayout:
         with pytest.raises(ConfigError):
             model.unify_inputs(batch, pools)
 
-    def test_mask_length_validated(self, tiny_config):
-        model, pools = build(tiny_config)
-        rng = np.random.default_rng(6)
-        batch = make_batch(tiny_config, "text_only", 2, rng)
-        batch.attention_mask = batch.attention_mask[:, :-1]
-        with pytest.raises(Exception):
-            model.unify_inputs(batch, pools)
-
 
 class TestModelQueries:
     """The pool queries the model forms: a token mean per item, text pads
@@ -236,9 +227,8 @@ class TestEncode:
         batch = make_batch(tiny_config, "image_text", 2, rng, text_len=3)
         lay = sequence_layout("image_text", tiny_config)
         pad_col = lay.text.start + 4  # a padded text slot
-        assert not batch.attention_mask[0, pad_col]
-
         unified = model.unify_inputs(batch, pools)
+        assert not unified.mask[0, pad_col]
         base = model.encode(unified.states, unified.mask).data.copy()
 
         perturbed = unified.states.data.copy()

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from dynaprompt.config import MASK_ID, ModelConfig
+from dynaprompt import harness
+from dynaprompt.config import MASK_ID, PAD_ID, ModelConfig
 from dynaprompt.encoder import VisionLanguageModel, sequence_layout
-from dynaprompt.ndtensor import Tensor, backward, fd_check, ops, tensor
+from dynaprompt.ndtensor import Tensor, backward, fd_check, ops
+from dynaprompt.ndtensor.tensor import active_tape
 from dynaprompt.objectives import (
     FrozenStep,
     PretrainHeads,
@@ -152,8 +154,8 @@ class TestItmLoss:
         _, _, heads = build(tiny_config)
         rng = np.random.default_rng(9)
         h = tiny_config.d_hidden
-        cls_v = tensor(rng.normal(size=(1, h)))
-        cls_t = tensor(rng.normal(size=(1, h)))
+        cls_v = Tensor(rng.normal(size=(1, h)))
+        cls_t = Tensor(rng.normal(size=(1, h)))
         pair = np.concatenate([cls_v.data, cls_t.data], axis=1)[0]
         heads.itm_w.data[:, 1] = 20.0 * pair / float(pair @ pair)
         heads.itm_w.data[:, 0] = -20.0 * pair / float(pair @ pair)
@@ -163,8 +165,8 @@ class TestItmLoss:
         _, _, heads = build(tiny_config)  # zero-init head
         rng = np.random.default_rng(10)
         h = tiny_config.d_hidden
-        cls_v = tensor(rng.normal(size=(3, h)))
-        cls_t = tensor(rng.normal(size=(3, h)))
+        cls_v = Tensor(rng.normal(size=(3, h)))
+        cls_t = Tensor(rng.normal(size=(3, h)))
         got = itm_loss(cls_v, cls_t, np.array([1, 0, 1]), heads).item()
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -174,8 +176,8 @@ class TestItmLoss:
         h = tiny_config.d_hidden
         heads.itm_w.data[:] = rng.normal(size=(2 * h, 2)) * 0.4
         heads.itm_b.data[:] = rng.normal(size=2) * 0.1
-        cls_v = tensor(rng.normal(size=(4, h)))
-        cls_t = tensor(rng.normal(size=(4, h)))
+        cls_v = Tensor(rng.normal(size=(4, h)))
+        cls_t = Tensor(rng.normal(size=(4, h)))
         labels = np.array([1, 0, 0, 1])
         got = itm_loss(cls_v, cls_t, labels, heads).item()
 
@@ -188,7 +190,7 @@ class TestItmLoss:
 
     def test_bad_labels_rejected(self, tiny_config):
         _, _, heads = build(tiny_config)
-        cls = tensor(np.zeros((2, tiny_config.d_hidden)))
+        cls = Tensor(np.zeros((2, tiny_config.d_hidden)))
         with pytest.raises(ValueError):
             itm_loss(cls, cls, np.array([0, 2]), heads)
 
@@ -196,13 +198,13 @@ class TestItmLoss:
 class TestItcLoss:
     def test_single_pair_is_zero(self):
         rng = np.random.default_rng(12)
-        v = tensor(rng.normal(size=(1, 8)))
-        t = tensor(rng.normal(size=(1, 8)))
+        v = Tensor(rng.normal(size=(1, 8)))
+        t = Tensor(rng.normal(size=(1, 8)))
         assert itc_loss(v, t, 0.07).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_embeddings_give_ln2(self):
         x = np.ones((2, 6))
-        got = itc_loss(tensor(x), tensor(x.copy()), 0.5).item()
+        got = itc_loss(Tensor(x), Tensor(x.copy()), 0.5).item()
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matches_double_softmax_oracle(self):
@@ -220,27 +222,27 @@ class TestItcLoss:
             return -np.mean(np.log(np.diag(p)))
 
         oracle = 0.5 * (ce_rows(sims) + ce_rows(sims.T))
-        got = itc_loss(tensor(v), tensor(t), tau).item()
+        got = itc_loss(Tensor(v), Tensor(t), tau).item()
         assert got == pytest.approx(oracle, abs=1e-10)
 
     def test_symmetry_under_swap(self):
         rng = np.random.default_rng(14)
-        v = tensor(rng.normal(size=(5, 7)))
-        t = tensor(rng.normal(size=(5, 7)))
+        v = Tensor(rng.normal(size=(5, 7)))
+        t = Tensor(rng.normal(size=(5, 7)))
         a = itc_loss(v, t, 0.07).item()
         b = itc_loss(t, v, 0.07).item()
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_temperature_must_be_positive(self):
-        v = tensor(np.ones((2, 3)))
+        v = Tensor(np.ones((2, 3)))
         with pytest.raises(ValueError):
             itc_loss(v, v, 0.0)
 
     def test_gradients_pass_fd(self):
         rng = np.random.default_rng(15)
-        v = tensor(rng.normal(size=(3, 6)), requires_grad=True)
-        t = tensor(rng.normal(size=(3, 6)), requires_grad=True)
-        tau = tensor(0.3, requires_grad=True)
+        v = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        t = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        tau = Tensor(0.3, requires_grad=True)
         report = fd_check(lambda: itc_loss(v, t, tau),
                           {"v": v, "t": t, "tau": tau})
         assert report.passed, report.summary()
@@ -285,6 +287,55 @@ class TestCombinedLoss:
         with pytest.raises(SamplingError):
             combined_pretrain_loss(batch, model, pools, heads, tiny_config,
                                    rng=np.random.default_rng(23))
+
+    def test_five_passes_mask_only_their_own_text_padding(self, tiny_config,
+                                                          monkeypatch):
+        cfg = ModelConfig.from_dict({**tiny_config.to_dict(), "mask_rate": 0.9})
+        model, pools, heads = build(cfg)
+        rng = np.random.default_rng(40)
+        batch = make_batch(cfg, "image_text", 3, rng)
+        batch.token_ids[1, 2:] = PAD_ID  # rows of 5, 2 and 4 content tokens
+        batch.token_ids[2, 4:] = PAD_ID
+        seen = []
+        encode = VisionLanguageModel.encode
+
+        def spy(self, states, mask, rows=None):
+            seen.append(mask.copy())
+            return encode(self, states, mask, rows)
+
+        monkeypatch.setattr(VisionLanguageModel, "encode", spy)
+        _, report, _ = combined_pretrain_loss(
+            batch, model, pools, heads, cfg, rng=np.random.default_rng(41))
+        assert report.masked_token_count > 0  # the MLM pass saw changed ids
+
+        def oracle(kind, ids):
+            lay = sequence_layout(kind, cfg)
+            mask = np.ones((3, lay.total_len), dtype=bool)
+            if ids is not None:
+                mask[:, lay.text] = ids != PAD_ID
+            return mask
+
+        clean = oracle("image_text", batch.token_ids)
+        rolled = oracle("image_text", batch.token_ids[[1, 2, 0]])
+        expect = [clean, clean, rolled, oracle("image_only", None),
+                  oracle("text_only", batch.token_ids)]
+        assert len(seen) == 5
+        for got, want in zip(seen, expect):
+            np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(clean, rolled)
+
+    def test_desk_step_records_926_tape_nodes(self, desk_config):
+        model, pools, heads = build(desk_config)
+        corpus = harness.default_corpus(desk_config)
+        batch = harness.batch_from_pairs(
+            corpus.pairs[:desk_config.batch_size], desk_config, "image_text")
+        before = len(active_tape().nodes)  # another test's leftovers
+        total, _, _ = combined_pretrain_loss(
+            batch, model, pools, heads, desk_config,
+            rng=np.random.default_rng(0))
+        nodes = len(total.tape_node.tape.nodes) - before
+        backward(total)
+        assert nodes == 926
 
     def test_gradient_flow_audit(self, tiny_config):
         model, pools, heads = build(tiny_config)

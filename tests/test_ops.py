@@ -8,23 +8,23 @@ import pytest
 from dynaprompt.ndtensor import (
     NumericError,
     ShapeError,
+    Tensor,
     backward,
     fd_check,
     ops,
     run_op_suite,
-    tensor,
 )
 from dynaprompt.ndtensor.gradcheck import OP_SUITE
 
 
 class TestMatmul:
     def test_identity(self):
-        m = tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = ops.matmul(tensor(np.eye(2)), m)
+        m = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        out = ops.matmul(Tensor(np.eye(2)), m)
         np.testing.assert_array_equal(out.data, m.data)
 
     def test_scalar_case(self):
-        out = ops.matmul(tensor([[2.0]]), tensor([[3.0]]))
+        out = ops.matmul(Tensor([[2.0]]), Tensor([[3.0]]))
         assert out.item() == 6.0
 
     def test_matches_triple_loop_oracle(self):
@@ -36,53 +36,53 @@ class TestMatmul:
             for j in range(2):
                 for k in range(4):
                     expected[i, j] += a[i, k] * b[k, j]
-        out = ops.matmul(tensor(a), tensor(b))
+        out = ops.matmul(Tensor(a), Tensor(b))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\[3, 4\].*\[3, 2\]"):
-            ops.matmul(tensor(np.zeros((3, 4))), tensor(np.zeros((3, 2))))
+            ops.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))
 
 
 class TestSoftmax:
     def test_uniform_on_equal_inputs(self):
-        out = ops.softmax(tensor([0.0, 0.0, 0.0]))
+        out = ops.softmax(Tensor([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6,))
         for c in (-100.0, 0.5, 42.0):
-            a = ops.softmax(tensor(x)).data
-            b = ops.softmax(tensor(x + c)).data
+            a = ops.softmax(Tensor(x)).data
+            b = ops.softmax(Tensor(x + c)).data
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_matches_exp_normalize_oracle(self):
         x = np.array([1.0, 2.0, 3.0])
         expected = np.exp(x) / np.sum(np.exp(x))
-        out = ops.softmax(tensor(x))
+        out = ops.softmax(Tensor(x))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_rows_sum_to_one_on_random_inputs(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = rng.normal(size=(4, 9)) * rng.uniform(0.1, 50)
-            out = ops.softmax(tensor(x), axis=-1)
+            out = ops.softmax(Tensor(x), axis=-1)
             np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(NumericError):
-            ops.softmax(tensor([1.0, np.inf]))
+            ops.softmax(Tensor([1.0, np.inf]))
 
 
 class TestCrossEntropy:
     def test_saturated_correct_prediction(self):
-        logits = tensor([[20.0, 0.0, 0.0]])
+        logits = Tensor([[20.0, 0.0, 0.0]])
         assert ops.cross_entropy(logits, [0]).item() < 1e-8
 
     def test_uniform_logits_give_log_vocab(self):
         for v in (2, 256):
-            logits = tensor(np.zeros((3, v)))
+            logits = Tensor(np.zeros((3, v)))
             got = ops.cross_entropy(logits, [0, 1, 0]).item()
             assert got == pytest.approx(math.log(v), abs=1e-12)
 
@@ -93,36 +93,36 @@ class TestCrossEntropy:
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         expected = -np.mean(np.log(p[np.arange(6), labels]))
-        got = ops.cross_entropy(tensor(z), labels).item()
+        got = ops.cross_entropy(Tensor(z), labels).item()
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            ops.cross_entropy(tensor(np.zeros((2, 3))), [0, 3])
+            ops.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
 
 
 class TestPlumbingOps:
     def test_concat_and_slice_round_trip(self):
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
-        cat = ops.concat([tensor(a), tensor(b)], axis=0)
+        cat = ops.concat([Tensor(a), Tensor(b)], axis=0)
         np.testing.assert_array_equal(ops.slice_axis(cat, 0, 2, 6).data, b)
 
     def test_gather_rows_matches_fancy_indexing(self):
         rng = np.random.default_rng(6)
         table = rng.normal(size=(9, 4))
         idx = rng.integers(0, 9, size=(3, 5))
-        out = ops.embedding_lookup(tensor(table), idx)
+        out = ops.embedding_lookup(Tensor(table), idx)
         np.testing.assert_array_equal(out.data, table[idx])
 
     def test_gather_rejects_out_of_range(self):
         with pytest.raises(IndexError):
-            ops.gather_rows(tensor(np.zeros((3, 2))), [0, 3])
+            ops.gather_rows(Tensor(np.zeros((3, 2))), [0, 3])
 
     def test_layernorm_zero_mean_unit_var(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 8)) * 4 + 2
-        out = ops.layernorm(tensor(x), tensor(np.ones(8)), tensor(np.zeros(8)))
+        out = ops.layernorm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)))
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
@@ -143,9 +143,9 @@ class TestPlumbingOps:
             "gain": (w * xhat).reshape(-1, 8).sum(axis=0),
             "bias": w.reshape(-1, 8).sum(axis=0),
         }
-        leaves = {"x": tensor(x, requires_grad=True),
-                  "gain": tensor(gain, requires_grad=True),
-                  "bias": tensor(bias, requires_grad=True)}
+        leaves = {"x": Tensor(x, requires_grad=True),
+                  "gain": Tensor(gain, requires_grad=True),
+                  "bias": Tensor(bias, requires_grad=True)}
         out = ops.layernorm(leaves["x"], leaves["gain"], leaves["bias"])
         backward(ops.sum(ops.mul_const(out, w)))  # out's gradient is w
         got = {"out": out.data, **{k: t.grad for k, t in leaves.items()}}
@@ -155,12 +155,12 @@ class TestPlumbingOps:
     def test_rowwise_scale(self):
         rng = np.random.default_rng(8)
         a, s = rng.normal(size=(4, 3)), rng.normal(size=(4,))
-        out = ops.rowwise_scale(tensor(a), tensor(s))
+        out = ops.rowwise_scale(Tensor(a), Tensor(s))
         np.testing.assert_allclose(out.data, a * s[:, None], atol=1e-15)
 
     def test_broadcast_restricted_to_leading_axes(self):
         with pytest.raises(ShapeError):
-            ops.add(tensor(np.zeros((4, 3))), tensor(np.zeros((4, 1))))
+            ops.add(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 1))))
 
 
 class TestOpSuiteGradients:

@@ -18,7 +18,6 @@ from dynaprompt.ndtensor import (
     no_grad,
     ops,
     record_op,
-    tensor,
 )
 from dynaprompt.ndtensor.tensor import TapeNode
 from dynaprompt.objectives import pretrain_step
@@ -27,16 +26,16 @@ from dynaprompt.optim import AdamW
 
 class TestTensorBasics:
     def test_row_major_flat_invariant(self):
-        t = tensor([[1.0, 2.0], [3.0, 4.0]])
+        t = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert t.data.flags["C_CONTIGUOUS"]
         assert int(np.prod(t.shape)) == t.size
 
     def test_item_rejects_non_scalar(self):
         with pytest.raises(ShapeError):
-            tensor([1.0, 2.0]).item()
+            Tensor([1.0, 2.0]).item()
 
     def test_grad_shape_matches_data(self):
-        x = tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         backward(ops.sum(ops.mul(x, x)))
         assert x.grad.shape == x.shape
 
@@ -44,29 +43,29 @@ class TestTensorBasics:
 class TestBackward:
     def test_sum_of_squares_gradient(self):
         # loss = sum x^2 -> grad 2x elementwise
-        x = tensor([1.0, -2.0, 3.0], requires_grad=True)
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
         backward(ops.sum(ops.mul(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0, -4.0, 6.0])
 
     def test_constant_loss_leaves_grads_zero(self):
-        x = tensor([1.0, 2.0], requires_grad=True)
-        backward(tensor(5.0))
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        backward(Tensor(5.0))
         assert x.grad is None  # never touched == zero
 
     def test_non_scalar_loss_rejected(self):
-        x = tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
             backward(ops.mul(x, x))
 
     def test_double_backward_on_consumed_tape(self):
-        x = tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0], requires_grad=True)
         loss = ops.sum(ops.mul(x, x))
         backward(loss)
         with pytest.raises(TapeConsumedError):
             backward(loss)
 
     def test_gradient_accumulates_across_backwards(self):
-        x = tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0], requires_grad=True)
         backward(ops.sum(x))
         backward(ops.sum(ops.mul(x, x)))
         np.testing.assert_array_equal(x.grad, [3.0, 5.0])
@@ -81,11 +80,11 @@ class TestBackward:
             h = ops.matmul(x, Tensor(w))
             return ops.sum(ops.mul(h, h)), ops.sum(ops.gelu(x))
 
-        x1 = tensor(data, requires_grad=True)
+        x1 = Tensor(data, requires_grad=True)
         l1, l2 = build(x1)
         backward(ops.add(l1, l2))
 
-        x2 = tensor(data, requires_grad=True)
+        x2 = Tensor(data, requires_grad=True)
         la, _ = build(x2)
         backward(la)
         _, lb = build(x2)
@@ -94,17 +93,17 @@ class TestBackward:
         np.testing.assert_allclose(x1.grad, x2.grad, atol=1e-12)
 
     def test_no_grad_blocks_recording(self):
-        x = tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0], requires_grad=True)
         with no_grad():
             y = ops.mul(x, x)
         assert y.tape_node is None and not y.requires_grad
 
     def test_mlp_loss_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        x = tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        w1 = tensor(rng.normal(size=(5, 6)) * 0.5, requires_grad=True)
-        b1 = tensor(rng.normal(size=(6,)) * 0.1, requires_grad=True)
-        w2 = tensor(rng.normal(size=(6, 3)) * 0.5, requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        w1 = Tensor(rng.normal(size=(5, 6)) * 0.5, requires_grad=True)
+        b1 = Tensor(rng.normal(size=(6,)) * 0.1, requires_grad=True)
+        w2 = Tensor(rng.normal(size=(6, 3)) * 0.5, requires_grad=True)
         labels = rng.integers(0, 3, size=4)
 
         def f():
@@ -141,8 +140,8 @@ class TestTapeLifetime:
         assert cyclic == []
 
     def test_intermediate_freed_by_backward(self):
-        x = tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        w = tensor(np.ones((3, 4)), requires_grad=True)
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = Tensor(np.ones((3, 4)), requires_grad=True)
         h = ops.gelu(ops.matmul(x, w))
         buffer = weakref.ref(h.data)
         loss = ops.sum(ops.mul(h, h))
@@ -154,11 +153,11 @@ class TestTapeLifetime:
         assert x.grad is not None and w.grad is not None
 
     def test_tensor_from_consumed_tape_enters_new_tape_as_constant(self):
-        x = tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0], requires_grad=True)
         h = ops.mul(x, x)
         backward(ops.sum(h))
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
-        y = tensor([3.0, 5.0], requires_grad=True)
+        y = Tensor([3.0, 5.0], requires_grad=True)
         backward(ops.sum(ops.mul(h, y)))
         np.testing.assert_array_equal(y.grad, h.data)
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])  # no flow into h
@@ -167,7 +166,7 @@ class TestTapeLifetime:
         rng = np.random.default_rng(5)
         data = rng.normal(size=(3, 4))
         c1, c2, c3 = (rng.normal(size=(3, 4)) for _ in range(3))
-        x = tensor(data, requires_grad=True)
+        x = Tensor(data, requires_grad=True)
         h = ops.scale(x, 1.0)  # an intermediate with three consumers
         loss = ops.add(ops.add(ops.sum(ops.mul(h, Tensor(c1))),
                                ops.sum(ops.mul(h, Tensor(c2)))),
@@ -180,15 +179,15 @@ class TestTapeLifetime:
 
 class TestFdCheck:
     def test_bilinear_analytic(self):
-        x = tensor(2.0, requires_grad=True)
-        y = tensor(3.0, requires_grad=True)
+        x = Tensor(2.0, requires_grad=True)
+        y = Tensor(3.0, requires_grad=True)
         report = fd_check(lambda: ops.mul(x, y), {"x": x, "y": y})
         assert float(x.grad) == 3.0 and float(y.grad) == 2.0
         assert report.max_rel_error < 1e-9
 
     def test_softmax_cross_entropy_passes(self):
         rng = np.random.default_rng(11)
-        logits = tensor(rng.normal(size=(5, 7)), requires_grad=True)
+        logits = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
         labels = rng.integers(0, 7, size=5)
         report = fd_check(lambda: ops.cross_entropy(logits, labels),
                           {"logits": logits})
@@ -200,7 +199,7 @@ class TestFdCheck:
             out = Tensor(a.data * 2.0)
             return record_op(out, (a,), lambda g: (g * 3.0,))
 
-        x = tensor([1.0, -0.5, 2.0], requires_grad=True)
+        x = Tensor([1.0, -0.5, 2.0], requires_grad=True)
         report = fd_check(lambda: ops.sum(buggy_double(x)), {"x": x})
         assert not report.passed
 
@@ -209,7 +208,7 @@ class TestFdCheck:
 
         def f():
             state["calls"] += 1
-            return tensor(float(state["calls"]))
+            return Tensor(float(state["calls"]))
 
         with pytest.raises(NumericError):
             fd_check(f, {})
