@@ -14,6 +14,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse
+import dataclasses
 import sys
 
 from .config import ConfigError, ModelConfig
@@ -85,7 +86,7 @@ def _load_config(args) -> ModelConfig:
     except FileNotFoundError as exc:
         raise ConfigError(f"--config: cannot read {args.config!r}: {exc}") from exc
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)  # validates it
     return config
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["ModelConfig", "ConfigError",
@@ -83,6 +84,14 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # a float field takes a JSON int; bool, an int subclass, is no number
+            number = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            ok = (isinstance(value, bool) if number is None else
+                  isinstance(value, number) and not isinstance(value, bool))
+            if not ok:
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         positive = [
             "d_text", "d_vision", "d_hidden", "n_heads", "vocab_size",
             "max_text_len", "patch_count", "patch_dim", "pool_size_v",
@@ -94,7 +103,7 @@ class ModelConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ["n_layers", "dec_layers", "steps", "finetune_steps",
-                     "checkpoint_every"]:
+                     "checkpoint_every", "seed"]:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.d_hidden % self.n_heads != 0:

@@ -16,17 +16,23 @@ multi-head self-attention stack; masked positions receive a large negative
 attention logit whose probability underflows to exactly zero, so they cannot
 influence any visible output.
 
-Callers name the positions whose final states they read (``rows``).  When no
-tape is recording, the last layer computes its queries, attention output and
-feed-forward block only at those rows; its keys and values still cover every
-position, so each kept row equals the full pass's row up to float rounding.
-A recording tape runs every position as before: pruning there would reorder
-the weight-gradient sums of training.
+Callers name the positions whose final states they read (``rows``), and the
+last layer computes only those.  When no tape is recording, it computes its
+queries, attention output and feed-forward block at those rows; its keys and
+values still cover every position, so each kept row equals the full pass's
+row up to float rounding.  Under a recording tape, attention still runs at
+every position, because score products over fewer query rows round
+differently; the output projection, residuals, second layer norm and
+feed-forward block run at the kept rows.  Their backward
+(``ops.linear_rows``) sums the weight gradients over every position, with
+zeros at the rows left out, so training's gradients equal a full pass's bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -94,9 +100,9 @@ class UnifiedBatch:
 class EncodedBatch:
     """Encoder output: token states plus the per-modality summary states.
 
-    ``token_states`` holds every position, or, after a no-tape pass that was
-    given ``rows``, only those rows in the order given; a [CLS] state outside
-    the rows kept is None.
+    ``token_states`` holds every position, or, after a pass that was given
+    ``rows``, only those rows in the order given; a [CLS] state outside the
+    rows kept is None.
     """
 
     token_states: Tensor                 # [B, L or rows kept, d_hidden]
@@ -163,9 +169,9 @@ def _take_rows(x: Tensor, rows: tuple[slice, ...]) -> Tensor:
 
 
 def _computed_rows(rows: tuple[slice, ...] | None, length: int):
-    """The rows a last layer computes: ``rows`` when no tape records and they
-    leave some position out, else None for all ``length`` positions."""
-    if rows is None or grad_enabled():
+    """The rows a last layer computes: ``rows`` when they leave some
+    position out, else None for all ``length`` positions."""
+    if rows is None:
         return None
     if sum(r.stop - r.start for r in rows) == length:
         return None
@@ -229,14 +235,20 @@ class TransformerLayer:
         it holds: its positions attend over the cached ones too.
 
         ``rows`` (ascending, disjoint slices of ``x``'s positions) names the
-        outputs a last layer's caller reads.  With no tape recording the
-        result holds only those rows: queries, attention output and
+        outputs a last layer's caller reads, and the result holds only those
+        rows.  With no tape recording, queries, attention output and
         feed-forward block run there, keys and values at every position.
-        Under a tape it holds every position.
+        Under a tape, attention runs at every position and the rest at the
+        kept rows, through ``ops.linear_rows``, so that values and gradients
+        equal a full pass's bit for bit.
         """
-        rows = _computed_rows(rows, x.shape[1])
+        length = x.shape[1]
+        rows = _computed_rows(rows, length)
+        # a tape keeps every query row: per-head score products over fewer
+        # rows round differently
+        taped = rows is not None and grad_enabled()
         h = ops.layernorm(x, self.ln1_g, self.ln1_b)
-        hq = h if rows is None else _take_rows(h, rows)
+        hq = h if rows is None or taped else _take_rows(h, rows)
         q = ops.linear(hq, self.wq, self.bq)
         k = ops.linear(h, self.wk, self.bk)
         v = ops.linear(h, self.wv, self.bv)
@@ -244,14 +256,16 @@ class TransformerLayer:
             k, v = cache.append(k, v)
         if rows is not None:
             x = _take_rows(x, rows)
-            if mask_add.shape[-2] > 1:
+            if not taped and mask_add.shape[-2] > 1:
                 mask_add = mask_add[..., np.r_[rows], :]
         ctx = ops.attention(q, k, v, mask_add, self.n_heads)
-        x = ops.add(x, ops.linear(ctx, self.wo, self.bo))
+        affine = ops.linear
+        if taped:
+            affine = partial(ops.linear_rows, rows=np.r_[rows], length=length)
+        x = ops.add(x, affine(ctx, self.wo, self.bo))
 
         h2 = ops.layernorm(x, self.ln2_g, self.ln2_b)
-        ff = ops.linear(ops.gelu(ops.linear(h2, self.w1, self.b1)),
-                        self.w2, self.b2)
+        ff = affine(ops.gelu(affine(h2, self.w1, self.b1)), self.w2, self.b2)
         return ops.add(x, ff)
 
 
@@ -462,7 +476,7 @@ class VisionLanguageModel:
     def encode(self, states: Tensor, mask: np.ndarray,
                rows: tuple[slice, ...] | None = None) -> Tensor:
         """Run the layer stack; returns token states [B, L, d_hidden], or
-        only those at ``rows`` when no tape records (see the module doc)."""
+        only those at ``rows`` (see the module doc)."""
         b, length, _ = states.shape
         if mask.shape != (b, length):
             raise ShapeError(f"mask shape {list(mask.shape)} does not match "

@@ -302,6 +302,9 @@ def run_finetune(config: ModelConfig, corpus: SyntheticCorpus, checkpoint_path,
     """Adapt a pre-trained checkpoint to one task; returns (ckpt, metrics)."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
+    steps = config.finetune_steps if steps is None else steps
+    if steps < 0:
+        raise ConfigError(f"fine-tuning steps must be >= 0, got {steps}")
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, f"finetune_{task}.ckpt")
     metrics_path = os.path.join(out_dir, f"finetune_{task}_metrics.csv")
@@ -325,7 +328,6 @@ def run_finetune(config: ModelConfig, corpus: SyntheticCorpus, checkpoint_path,
         trainable.update(pools.parameters())
     optimizer = AdamW(trainable, lr=config.lr, weight_decay=config.weight_decay)
 
-    steps = config.finetune_steps if steps is None else steps
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
     batch_size = min(config.batch_size, len(corpus))
 

@@ -169,6 +169,15 @@ def _case_linear(rng, x_shape=(2, 3, 4), n_out=3):
            {"x": x, "w": w, "b": b}
 
 
+def _case_linear_rows(rng, x_shape=(2, 5, 4), rows=(1, 3), length=5):
+    x = _leaf(rng, x_shape)
+    w, b = _leaf(rng, (x_shape[-1], 3)), _leaf(rng, (3,))
+    c = rng.uniform(-1, 1, size=(x_shape[0], len(rows), 3))
+    return (lambda: ops.sum(ops.mul_const(ops.linear_rows(x, w, b, rows,
+                                                          length), c))), \
+           {"x": x, "w": w, "b": b}
+
+
 def _case_permute(rng):
     a = _leaf(rng, (2, 3, 4))
     return (lambda: ops.sum(ops.mul(ops.permute(a, (2, 0, 1)),
@@ -277,6 +286,8 @@ OP_SUITE: dict = {
     "matmul_weight": _case_matmul_weight,
     "linear": _case_linear,
     "linear_2d": lambda rng: _case_linear(rng, (3, 4), 2),
+    "linear_rows": _case_linear_rows,
+    "linear_rows_pruned": lambda rng: _case_linear_rows(rng, (1, 1, 4), (2,)),
     "permute": _case_permute,
     "reshape": _case_reshape,
     "concat": _case_concat,

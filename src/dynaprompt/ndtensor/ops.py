@@ -13,6 +13,8 @@ over identical inputs are bit-identical.
 ``linear`` and ``attention`` each record as one node what would otherwise be
 a chain of the ops here, with the same arithmetic in the same order, so they
 equal that chain bit for bit while keeping fewer arrays alive.
+``linear_rows`` runs ``linear`` at some rows of a sequence and still equals
+it bit for bit there.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from .tensor import NumericError, ShapeError, Tensor, record_op
 
 __all__ = [
     "add", "sub", "mul", "div", "scale", "add_const", "mul_const",
-    "pow_const", "sqrt", "matmul", "linear", "permute", "reshape", "concat",
-    "slice_axis", "gather_rows", "embedding_lookup", "sum", "mean",
-    "rowwise_scale", "softmax", "attention", "cross_entropy", "layernorm",
-    "gelu",
+    "pow_const", "sqrt", "matmul", "linear", "linear_rows", "permute",
+    "reshape", "concat", "slice_axis", "gather_rows", "embedding_lookup",
+    "sum", "mean", "rowwise_scale", "softmax", "attention", "cross_entropy",
+    "layernorm", "gelu",
 ]
 
 def _as_tensor(x) -> Tensor:
@@ -197,15 +199,63 @@ def linear(x, w, b) -> Tensor:
     y = np.matmul(X, W)
     y += b.data
     out = Tensor(y)
+    return record_op(out, (x, w, b), lambda g: _linear_grads(x, w, b, X, g))
+
+
+def _linear_grads(x, w, b, X, g):
+    """Gradients of ``X @ w + b`` for those of ``x``, ``w``, ``b`` that
+    require them, given the output gradient ``g``."""
+    W = w.data
+    gx = np.matmul(g, W.T) if x.requires_grad else None
+    if w.requires_grad:
+        k, n = W.shape
+        gw = np.matmul(X.reshape(-1, k).T, g.reshape(-1, n))
+    else:
+        gw = None
+    gb = _reduce_to(g, b.shape) if b.requires_grad else None
+    return gx, gw, gb
+
+
+def linear_rows(x, w, b, rows, length: int) -> Tensor:
+    """``linear`` at the positions ``rows`` (ascending ints) of a
+    [B, length, k] sequence only: ``x`` holds all ``length`` positions or
+    just the R rows; the output is [B, R, m].
+
+    The forward is one [B*R, k] @ ``w`` product, which equals ``linear``'s
+    rows bit for bit.  The backward puts the output gradient (and a pruned
+    ``x``) at their positions among zeros over all B*length rows and runs
+    ``linear``'s gradient rule there, so its gradients equal those of
+    ``linear`` over every position when the positions off ``rows`` get zero
+    gradient.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    X, W = x.data, w.data
+    rows = np.asarray(rows)
+    if X.ndim != 3 or W.ndim != 2 or X.shape[-1] != W.shape[0] \
+            or b.shape != W.shape[1:] or X.shape[1] not in (length, rows.size):
+        raise ShapeError(f"linear_rows shapes disagree: x {list(x.shape)}, "
+                         f"w {list(w.shape)}, b {list(b.shape)}, "
+                         f"{rows.size} of {length} rows")
+    bsz, k, m = X.shape[0], W.shape[0], W.shape[1]
+    pruned = X.shape[1] != length
+    flat = (X if pruned else X[:, rows]).reshape(-1, k)
+    n = flat.shape[0]
+    if n == 1:  # a one-row product takes gemv, whose sums differ from gemm's
+        flat = np.concatenate([flat, np.zeros_like(flat)])
+    y = np.matmul(flat, W)[:n]
+    y += b.data
+    out = Tensor(y.reshape(bsz, rows.size, m))
 
     def grad_fn(g):
-        gx = np.matmul(g, W.T) if x.requires_grad else None
-        if w.requires_grad:
-            k, n = W.shape
-            gw = np.matmul(X.reshape(-1, k).T, g.reshape(-1, n))
-        else:
-            gw = None
-        gb = _reduce_to(g, b.shape) if b.requires_grad else None
+        full_g = np.zeros((bsz, length, m))
+        full_g[:, rows] = g
+        full_x = X
+        if pruned and w.requires_grad:
+            full_x = np.zeros((bsz, length, k))
+            full_x[:, rows] = X
+        gx, gw, gb = _linear_grads(x, w, b, full_x, full_g)
+        if pruned and gx is not None:
+            gx = gx[:, rows]
         return gx, gw, gb
 
     return record_op(out, (x, w, b), grad_fn)

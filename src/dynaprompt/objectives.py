@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FIRST_CONTENT_ID, MASK_ID, ModelConfig
-from .encoder import EncodedBatch, UnifiedBatch, VisionLanguageModel
+from .encoder import (EncodedBatch, UnifiedBatch, VisionLanguageModel,
+                      sequence_layout)
 from .ndtensor import NumericError, ShapeError, Tensor, backward, ops
 from .optim import AdamW
 from .pools import PromptPools, surrogate_loss
@@ -122,6 +123,8 @@ def mlm_loss(encoded: EncodedBatch, mlm_labels: np.ndarray, heads: PretrainHeads
              text_start: int) -> tuple[Tensor, int]:
     """Mean cross-entropy of the masked-token head over labeled positions.
 
+    The text starts at position ``text_start`` of the encoded sequence;
+    ``encoded.token_states`` holds every position or only the text rows.
     Returns (loss, labeled_count); a batch with nothing masked contributes a
     constant zero with count zero (skip semantics).
     """
@@ -133,7 +136,8 @@ def mlm_loss(encoded: EncodedBatch, mlm_labels: np.ndarray, heads: PretrainHeads
         return Tensor(0.0), 0
     states = encoded.token_states
     h = states.shape[-1]
-    text_states = ops.slice_axis(states, 1, text_start, text_start + lt)
+    text_states = (states if states.shape[1] == lt else
+                   ops.slice_axis(states, 1, text_start, text_start + lt))
     flat = ops.reshape(text_states, (b * lt, h))
     selected = ops.gather_rows(flat, picked)
     logits = ops.linear(selected, heads.mlm_w, heads.mlm_b)
@@ -251,21 +255,29 @@ def combined_pretrain_loss(batch: UnifiedBatch, model: VisionLanguageModel,
     def ov(key):
         return frozen.overrides.get(key) if frozen is not None else None
 
+    # each pass's last layer computes only the rows its objective reads
+    pair, image, text = (sequence_layout(kind, config) for kind in
+                         ("image_text", "image_only", "text_only"))
+
     # 1) masked-text pass -> token prediction
     masked_batch = UnifiedBatch(kind="image_text", token_ids=corrupted,
                                 patch_features=batch.patch_features)
-    enc_mlm, uni_mlm = model.forward(masked_batch, pools, select_override=ov("mlm"))
+    enc_mlm, uni_mlm = model.forward(masked_batch, pools,
+                                     select_override=ov("mlm"),
+                                     rows=(pair.text,))
     _capture(uni_mlm, "mlm", captured)
     l_mlm, masked_count = mlm_loss(enc_mlm, labels, heads,
                                    uni_mlm.layout.text.start)
 
     # 2) paired pass -> positive matching + pool pull loss
-    enc_pos, uni_pos = model.forward(batch, pools, select_override=ov("itm_pos"))
+    enc_pos, uni_pos = model.forward(batch, pools, select_override=ov("itm_pos"),
+                                     rows=pair.cls_rows())
     _capture(uni_pos, "itm_pos", captured)
 
     # 3) deranged pass -> negative matching
     neg_batch = _derange(batch)
-    enc_neg, uni_neg = model.forward(neg_batch, pools, select_override=ov("itm_neg"))
+    enc_neg, uni_neg = model.forward(neg_batch, pools, select_override=ov("itm_neg"),
+                                     rows=pair.cls_rows())
     _capture(uni_neg, "itm_neg", captured)
 
     cls_v = ops.concat([enc_pos.cls_visual, enc_neg.cls_visual], axis=0)
@@ -278,9 +290,11 @@ def combined_pretrain_loss(batch: UnifiedBatch, model: VisionLanguageModel,
     img_batch = UnifiedBatch(kind="image_only",
                              patch_features=batch.patch_features)
     txt_batch = UnifiedBatch(kind="text_only", token_ids=batch.token_ids)
-    enc_img, uni_img = model.forward(img_batch, pools, select_override=ov("itc_v"))
+    enc_img, uni_img = model.forward(img_batch, pools, select_override=ov("itc_v"),
+                                     rows=image.cls_rows())
     _capture(uni_img, "itc_v", captured)
-    enc_txt, uni_txt = model.forward(txt_batch, pools, select_override=ov("itc_t"))
+    enc_txt, uni_txt = model.forward(txt_batch, pools, select_override=ov("itc_t"),
+                                     rows=text.cls_rows())
     _capture(uni_txt, "itc_t", captured)
     l_itc = itc_loss(enc_img.cls_visual, enc_txt.cls_textual, heads.temperature)
 

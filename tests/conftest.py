@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dynaprompt.config import ModelConfig
-from dynaprompt.encoder import UnifiedBatch
+from dynaprompt.encoder import TransformerLayer, UnifiedBatch, VisionLanguageModel
 from dynaprompt.pools import PromptPools
 
 
@@ -51,3 +51,14 @@ def batch_factory():
 @pytest.fixture
 def pools_factory():
     return lambda config, seed=0: PromptPools(config, np.random.default_rng(seed))
+
+
+def drop_caller_rows(monkeypatch):
+    """Make every encoder and layer forward ignore the rows its caller
+    names, so each pass computes every position."""
+    forward, layer_forward = VisionLanguageModel.forward, TransformerLayer.forward
+    monkeypatch.setattr(VisionLanguageModel, "forward",
+                        lambda self, *a, rows=None, **k: forward(self, *a, **k))
+    monkeypatch.setattr(TransformerLayer, "forward",
+                        lambda self, *a, rows=None, **k:
+                        layer_forward(self, *a, **k))

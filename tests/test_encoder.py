@@ -260,7 +260,7 @@ def _row_sets(kind, config):
 
 
 class TestLastLayerRows:
-    """Without a tape the last layer computes only the rows a caller reads."""
+    """The last layer computes only the rows a caller reads."""
 
     @pytest.mark.parametrize("n_layers", [2, 0])
     @pytest.mark.parametrize("kind", ["image_only", "text_only", "image_text"])
@@ -311,7 +311,7 @@ class TestLastLayerRows:
         assert shapes == [(2, lay.total_len, d_ff), (2, 2, d_ff)]
         shapes.clear()
         model.forward(batch, pools, rows=lay.cls_rows())  # a tape records
-        assert shapes == [(2, lay.total_len, d_ff)] * 2
+        assert shapes == [(2, lay.total_len, d_ff), (2, 2, d_ff)]
 
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:

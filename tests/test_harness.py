@@ -147,6 +147,16 @@ class TestRunFinetuneEval:
         with pytest.raises(ConfigError):
             run_finetune(small_config, corpus, ckpt, "segmentation", tmp_path)
 
+    def test_negative_steps_rejected_before_any_write(self, small_config,
+                                                      tmp_path):
+        corpus = default_corpus(small_config)
+        ckpt, _ = run_pretrain(small_config, corpus, tmp_path / "pre")
+        from dynaprompt.config import ConfigError
+        out = tmp_path / "ft"
+        with pytest.raises(ConfigError, match="steps"):
+            run_finetune(small_config, corpus, ckpt, "vqa", out, steps=-4)
+        assert not out.exists()
+
     def test_geometry_mismatch_rejected(self, small_config, tmp_path):
         corpus = default_corpus(small_config)
         ckpt, _ = run_pretrain(small_config, corpus, tmp_path)
@@ -219,6 +229,23 @@ class TestInspectPool:
             assert float(row[1 + i]) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize("key, value", [("steps", 2.5), ("seed", 1.0),
+                                            ("batch_size", True),
+                                            ("n_layers", "2"),
+                                            ("lr", False),
+                                            ("freeze_pools", 1)])
+    def test_wrong_type_rejected(self, small_config, key, value):
+        from dynaprompt.config import ConfigError
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig.from_dict({**small_config.to_dict(), key: value})
+
+    def test_float_field_takes_json_int(self, small_config):
+        cfg = ModelConfig.from_json(json.dumps({**small_config.to_dict(),
+                                                "lr": 1, "sigma": 0}))
+        assert cfg.lr == 1 and cfg.sigma == 0
+
+
 class TestCli:
     def _write_config(self, path, cfg):
         with open(path, "w") as fh:
@@ -249,6 +276,39 @@ class TestCli:
         code = cli_main(["pretrain", "--config", str(path),
                          "--out", str(tmp_path)])
         assert code == 1
+
+    def test_negative_seed_flag_is_config_error(self, small_config, tmp_path,
+                                                capsys):
+        cfg_path = self._write_config(tmp_path / "c.json", small_config)
+        code = cli_main(["pretrain", "--config", cfg_path, "--seed", "-1",
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_in_config_is_config_error(self, small_config,
+                                                     tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**small_config.to_dict(), "seed": -3}))
+        code = cli_main(["pretrain", "--config", str(path),
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_finetune_steps_exits_one(self, small_config, tmp_path,
+                                               capsys):
+        cfg_path = self._write_config(tmp_path / "c.json", small_config)
+        out = tmp_path / "run"
+        assert cli_main(["pretrain", "--config", cfg_path,
+                         "--out", str(out)]) == 0
+        code = cli_main(["finetune", "--config", cfg_path, "--out", str(out),
+                         "--checkpoint", str(out / "pretrain.ckpt"),
+                         "--task", "vqa", "--steps", "-4"])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "finetune_vqa.ckpt").exists()
+        assert not (out / "finetune_vqa_metrics.csv").exists()
 
     def test_pretrain_seed_override_repeats_byte_identical(self, small_config,
                                                            tmp_path, capsys):

@@ -24,7 +24,7 @@ from dynaprompt.objectives import (
 )
 from dynaprompt.optim import AdamW
 from dynaprompt.pools import PromptPools
-from tests.conftest import make_batch
+from tests.conftest import drop_caller_rows, make_batch
 
 
 def build(config, seed=0):
@@ -324,7 +324,7 @@ class TestCombinedLoss:
             np.testing.assert_array_equal(got, want)
         assert not np.array_equal(clean, rolled)
 
-    def test_desk_step_records_926_tape_nodes(self, desk_config):
+    def test_desk_step_records_930_tape_nodes(self, desk_config):
         model, pools, heads = build(desk_config)
         corpus = harness.default_corpus(desk_config)
         batch = harness.batch_from_pairs(
@@ -335,7 +335,34 @@ class TestCombinedLoss:
             rng=np.random.default_rng(0))
         nodes = len(total.tape_node.tape.nodes) - before
         backward(total)
-        assert nodes == 926
+        assert nodes == 930
+
+    def test_desk_step_bitwise_equal_to_every_row(self, desk_config,
+                                                  monkeypatch):
+        """The five passes' kept rows change no loss or gradient bit."""
+        corpus = harness.default_corpus(desk_config)
+        batch = harness.batch_from_pairs(
+            corpus.pairs[:desk_config.batch_size], desk_config, "image_text")
+        runs = []
+        for dropped in (False, True):
+            if dropped:
+                drop_caller_rows(monkeypatch)
+            model, pools, heads = build(desk_config)
+            # zero-initialized heads would send no gradient into the encoder
+            rng = np.random.default_rng(1)
+            for p in (heads.mlm_w, heads.itm_w):
+                p.data[:] = rng.normal(size=p.shape) * 0.1
+            total, _, _ = combined_pretrain_loss(
+                batch, model, pools, heads, desk_config,
+                rng=np.random.default_rng(0))
+            backward(total)
+            params = {**model.parameters(), **pools.parameters(),
+                      **heads.parameters()}
+            runs.append((total.data.tobytes(),
+                         {k: None if p.grad is None else p.grad.tobytes()
+                          for k, p in params.items()}))
+        assert batch.size == 8 and len(runs[0][1]) == 58
+        assert runs[0] == runs[1]
 
     def test_gradient_flow_audit(self, tiny_config):
         model, pools, heads = build(tiny_config)
