@@ -133,6 +133,8 @@ def _cmd_inspect_pool(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .ndtensor import run_op_suite
     from .objectives import end_to_end_fd_case
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     ok, worst = run_op_suite(seeds=args.seeds, tol=args.tol)
     for name in sorted(worst):
         status = "PASS" if worst[name] < args.tol else "FAIL"

@@ -10,7 +10,10 @@ space:
 
 Single-modality inputs borrow prompts from the contrary pool (selected via a
 cross-modal query projection) so the encoder always sees both kinds of
-context; paired inputs take same-modality prompts.  Role embeddings tag each
+context; paired inputs take same-modality prompts.  Selection ranks the
+queries' values off the tape, so the queries and their projections are
+recorded only when the caller asks for them (``pull``), as pre-training's
+paired pass does for the pool pull loss.  Role embeddings tag each
 prompt block with the context it serves.  The encoder itself is a pre-norm
 multi-head self-attention stack; masked positions receive a large negative
 attention logit whose probability underflows to exactly zero, so they cannot
@@ -31,13 +34,15 @@ for bit.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .config import ConfigError, ModelConfig, PAD_ID
-from .ndtensor import NumericError, ShapeError, Tensor, grad_enabled, ops
+from .ndtensor import (NumericError, ShapeError, Tensor, grad_enabled,
+                       no_grad, ops)
 from .pools import (
     IntegrityError,
     PromptPools,
@@ -390,14 +395,16 @@ class VisionLanguageModel:
                 for i in range(b)]
 
     def unify_inputs(self, batch: UnifiedBatch, pools: PromptPools,
-                     select_override: dict[str, np.ndarray] | None = None
-                     ) -> UnifyResult:
+                     select_override: dict[str, np.ndarray] | None = None,
+                     pull: bool = False) -> UnifyResult:
         """Assemble the prompt-unified sequence for a batch (see module doc)
         and its attention mask, which masks only text padding.
 
         ``select_override`` pins pool selections (keys "visual"/"textual" to
         [B, n_sel] index arrays), used to hold the non-differentiable
-        selection fixed during finite-difference checks.
+        selection fixed during finite-difference checks.  The selection
+        queries are recorded on the tape only with ``pull``, for a caller
+        that builds the pool pull loss from them.
         """
         batch.validate(self.config)
         c = self.config
@@ -416,11 +423,22 @@ class VisionLanguageModel:
         if batch.patch_features is not None:
             patch_emb = self.embed_patches(batch.patch_features)
 
+        # selection ranks the queries' values; only the pull loss reads
+        # them on the tape
+        with contextlib.nullcontext() if pull else no_grad():
+            if batch.kind == "image_only":
+                tq = [cross_query(q, pools.vis_to_txt)
+                      for q in self._per_item(query_fn(patch_emb))]
+            elif batch.kind == "text_only":
+                vq = [cross_query(q, pools.txt_to_vis)
+                      for q in self._per_item(query_fn(text_emb, text_valid))]
+            else:
+                vq = self._per_item(query_fn(patch_emb))
+                tq = self._per_item(query_fn(text_emb, text_valid))
+
         prompt_tokens = None
         if batch.kind == "image_only":
             # contrary-pool prompts serve the visual context
-            queries = self._per_item(query_fn(patch_emb))
-            tq = [cross_query(q, pools.vis_to_txt) for q in queries]
             selections_t = self._select_batch(pools.textual, tq, c.n_sel,
                                               ov.get("textual"))
             prompt_tokens = self._prompt_segment(
@@ -431,8 +449,6 @@ class VisionLanguageModel:
                                        self.vis_to_hidden_b))
             segments.append(prompt_tokens)
         elif batch.kind == "text_only":
-            queries = self._per_item(query_fn(text_emb, text_valid))
-            vq = [cross_query(q, pools.txt_to_vis) for q in queries]
             selections_v = self._select_batch(pools.visual, vq, c.n_sel,
                                               ov.get("visual"))
             segments.append(self._prompt_segment(
@@ -442,11 +458,9 @@ class VisionLanguageModel:
             segments.append(ops.linear(text_emb, self.text_to_hidden_w,
                                        self.text_to_hidden_b))
         else:  # image_text: same-modality prompts on both sides
-            vqueries = self._per_item(query_fn(patch_emb))
-            tqueries = self._per_item(query_fn(text_emb, text_valid))
-            selections_v = self._select_batch(pools.visual, vqueries, c.n_sel,
+            selections_v = self._select_batch(pools.visual, vq, c.n_sel,
                                               ov.get("visual"))
-            selections_t = self._select_batch(pools.textual, tqueries, c.n_sel,
+            selections_t = self._select_batch(pools.textual, tq, c.n_sel,
                                               ov.get("textual"))
             segments.append(self._cls_segment(self.cls_v, b))
             segments.append(ops.linear(patch_emb, self.vis_to_hidden_w,
@@ -493,11 +507,12 @@ class VisionLanguageModel:
         return x
 
     def forward(self, batch: UnifiedBatch, pools: PromptPools,
-                select_override=None, rows: tuple[slice, ...] | None = None
-                ) -> tuple[EncodedBatch, UnifyResult]:
+                select_override=None, rows: tuple[slice, ...] | None = None,
+                pull: bool = False) -> tuple[EncodedBatch, UnifyResult]:
         """Unify and encode ``batch``.  ``rows`` names the assembled
-        positions whose final states the caller reads (None: all)."""
-        unified = self.unify_inputs(batch, pools, select_override)
+        positions whose final states the caller reads (None: all); ``pull``
+        keeps the selection queries on the tape (see ``unify_inputs``)."""
+        unified = self.unify_inputs(batch, pools, select_override, pull)
         token_states = self.encode(unified.states, unified.mask, rows)
         layout = unified.layout
         kept = (range(layout.total_len)

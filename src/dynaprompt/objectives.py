@@ -10,6 +10,16 @@ One step optimizes four terms on image-text batches:
 
 The weighted total is  l_mlm + sigma*l_itm + lambda*l_itc + beta*l_p  and the
 per-step report must recompose to that sum exactly.
+
+Each objective group runs its backward as soon as its forward ends, so its
+passes' activations are freed before the next group's forward: first the
+contrastive group (image-only and text-only passes, lambda*l_itc), then the
+matching group (paired and deranged passes and the pull loss,
+sigma*l_itm + beta*l_p), then the masked-text pass (l_mlm).  That is the
+reverse of the order in which one backward over all five passes would
+consume them, so every leaf gradient sums its contributions in the same
+order and the gradients equal that joint backward's bit for bit.  Only the
+paired pass records its selection queries, for the pull loss.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import numpy as np
 from .config import FIRST_CONTENT_ID, MASK_ID, ModelConfig
 from .encoder import (EncodedBatch, UnifiedBatch, VisionLanguageModel,
                       sequence_layout)
-from .ndtensor import NumericError, ShapeError, Tensor, backward, ops
+from .ndtensor import NumericError, ShapeError, Tensor, backward, no_grad, ops
 from .optim import AdamW
 from .pools import PromptPools, surrogate_loss
 
@@ -227,13 +237,17 @@ def combined_pretrain_loss(batch: UnifiedBatch, model: VisionLanguageModel,
                            rng: np.random.Generator | None = None,
                            frozen: FrozenStep | None = None,
                            capture: bool = False):
-    """All four objectives on an image-text batch.
+    """All four objectives on an image-text batch, and their gradients.
 
     Returns (total loss Tensor, PretrainLossReport, FrozenStep | None).  Five
-    encoder passes run per call: masked text (token prediction), paired and
-    deranged (matching), image-only and text-only (contrastive).  The pool
-    pull loss uses the same-modality selections of the paired pass.  Passing
-    ``frozen`` replays a captured step's masking and selections.
+    encoder passes run per call: image-only and text-only (contrastive),
+    paired and deranged (matching), masked text (token prediction).  The
+    pool pull loss uses the same-modality selections of the paired pass.
+    When a tape records, each group's backward runs as its forward ends (see
+    the module doc) and accumulates into the parameters' ``grad``; the
+    returned total is a constant, so a later ``backward(total)`` does
+    nothing.  Masking draws from ``rng`` before any pass; passing ``frozen``
+    replays a captured step's masking and selections.
     """
     if batch.kind != "image_text":
         raise ValueError(f"pre-training needs image_text batches, got {batch.kind!r}")
@@ -252,62 +266,52 @@ def combined_pretrain_loss(batch: UnifiedBatch, model: VisionLanguageModel,
         captured.corrupted_ids = corrupted
         captured.mlm_labels = labels
 
-    def ov(key):
-        return frozen.overrides.get(key) if frozen is not None else None
+    def run(key, ubatch, rows, pull=False):
+        enc, uni = model.forward(ubatch, pools, select_override=(
+            frozen.overrides.get(key) if frozen is not None else None),
+            rows=rows, pull=pull)
+        _capture(uni, key, captured)
+        return enc, uni
 
     # each pass's last layer computes only the rows its objective reads
     pair, image, text = (sequence_layout(kind, config) for kind in
                          ("image_text", "image_only", "text_only"))
 
-    # 1) masked-text pass -> token prediction
-    masked_batch = UnifiedBatch(kind="image_text", token_ids=corrupted,
-                                patch_features=batch.patch_features)
-    enc_mlm, uni_mlm = model.forward(masked_batch, pools,
-                                     select_override=ov("mlm"),
-                                     rows=(pair.text,))
-    _capture(uni_mlm, "mlm", captured)
-    l_mlm, masked_count = mlm_loss(enc_mlm, labels, heads,
-                                   uni_mlm.layout.text.start)
+    # contrastive group: single-modality passes -> contrastive alignment
+    enc_img, _ = run("itc_v", UnifiedBatch(kind="image_only",
+                                           patch_features=batch.patch_features),
+                     image.cls_rows())
+    enc_txt, _ = run("itc_t", UnifiedBatch(kind="text_only",
+                                           token_ids=batch.token_ids),
+                     text.cls_rows())
+    l_itc = itc_loss(enc_img.cls_visual, enc_txt.cls_textual, heads.temperature)
+    w_itc = ops.scale(l_itc, config.lambda_)
+    backward(w_itc)
 
-    # 2) paired pass -> positive matching + pool pull loss
-    enc_pos, uni_pos = model.forward(batch, pools, select_override=ov("itm_pos"),
-                                     rows=pair.cls_rows())
-    _capture(uni_pos, "itm_pos", captured)
-
-    # 3) deranged pass -> negative matching
-    neg_batch = _derange(batch)
-    enc_neg, uni_neg = model.forward(neg_batch, pools, select_override=ov("itm_neg"),
-                                     rows=pair.cls_rows())
-    _capture(uni_neg, "itm_neg", captured)
-
+    # matching group: paired and deranged passes -> matching, and the pool
+    # pull loss over the paired pass's same-modality selections
+    enc_pos, uni_pos = run("itm_pos", batch, pair.cls_rows(), pull=True)
+    enc_neg, _ = run("itm_neg", _derange(batch), pair.cls_rows())
+    l_p = surrogate_loss(uni_pos.selections_v + uni_pos.selections_t,
+                         batch_size=b)
     cls_v = ops.concat([enc_pos.cls_visual, enc_neg.cls_visual], axis=0)
     cls_t = ops.concat([enc_pos.cls_textual, enc_neg.cls_textual], axis=0)
     itm_labels = np.concatenate([np.ones(b, dtype=np.int64),
                                  np.zeros(b, dtype=np.int64)])
     l_itm = itm_loss(cls_v, cls_t, itm_labels, heads)
+    w_itm, w_p = ops.scale(l_itm, config.sigma), ops.scale(l_p, config.beta)
+    backward(ops.add(w_itm, w_p))
 
-    # 4) single-modality passes -> contrastive alignment
-    img_batch = UnifiedBatch(kind="image_only",
-                             patch_features=batch.patch_features)
-    txt_batch = UnifiedBatch(kind="text_only", token_ids=batch.token_ids)
-    enc_img, uni_img = model.forward(img_batch, pools, select_override=ov("itc_v"),
-                                     rows=image.cls_rows())
-    _capture(uni_img, "itc_v", captured)
-    enc_txt, uni_txt = model.forward(txt_batch, pools, select_override=ov("itc_t"),
-                                     rows=text.cls_rows())
-    _capture(uni_txt, "itc_t", captured)
-    l_itc = itc_loss(enc_img.cls_visual, enc_txt.cls_textual, heads.temperature)
+    # masked-text pass -> token prediction
+    masked_batch = UnifiedBatch(kind="image_text", token_ids=corrupted,
+                                patch_features=batch.patch_features)
+    enc_mlm, _ = run("mlm", masked_batch, (pair.text,))
+    l_mlm, masked_count = mlm_loss(enc_mlm, labels, heads, pair.text.start)
+    backward(l_mlm)
 
-    # 5) pool pull loss over the paired pass's same-modality selections
-    l_p = surrogate_loss(uni_pos.selections_v + uni_pos.selections_t,
-                         batch_size=b)
-
-    total = ops.add(
-        l_mlm,
-        ops.add(ops.scale(l_itm, config.sigma),
-                ops.add(ops.scale(l_itc, config.lambda_),
-                        ops.scale(l_p, config.beta))))
-
+    # a constant, summed in the association the metrics CSV records
+    with no_grad():
+        total = ops.add(l_mlm, ops.add(w_itm, ops.add(w_itc, w_p)))
     report = PretrainLossReport(
         l_mlm=l_mlm.item(), l_itm=l_itm.item(), l_itc=l_itc.item(),
         l_p=l_p.item(), l_total=total.item(),
@@ -321,11 +325,10 @@ def pretrain_step(batch: UnifiedBatch, model: VisionLanguageModel,
                   rng: np.random.Generator) -> PretrainLossReport:
     """One forward/backward/update; deterministic given (seed, step)."""
     optimizer.zero_grad()
-    total, report, _ = combined_pretrain_loss(batch, model, pools, heads,
-                                              config, rng=rng)
+    _, report, _ = combined_pretrain_loss(batch, model, pools, heads, config,
+                                          rng=rng)
     if not np.isfinite(report.l_total):
         raise NumericError(f"non-finite pre-training loss: {report}")
-    backward(total)
     optimizer.step()
     heads.clamp_temperature()
     return report
@@ -360,8 +363,9 @@ def end_to_end_fd_case(seeds: int = 100, tol: float = 1e-5, h: float = 1e-5,
             kind="image_text", token_ids=token_ids,
             patch_features=rng.normal(size=(2, config.patch_count,
                                             config.patch_dim)))
-        _, _, frozen = combined_pretrain_loss(batch, model, pools, heads,
-                                              config, rng=rng, capture=True)
+        with no_grad():
+            _, _, frozen = combined_pretrain_loss(batch, model, pools, heads,
+                                                  config, rng=rng, capture=True)
 
         def f():
             total, _, _ = combined_pretrain_loss(batch, model, pools, heads,

@@ -86,7 +86,6 @@ class PromptPool:
             for role in RoleTag.ALL
         }
         self.usage = np.zeros(pool_size, dtype=np.int64)
-        self.selection_calls = 0
 
     def parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = {f"{prefix}keys": self.keys, f"{prefix}values": self.values}
@@ -157,7 +156,6 @@ def select_prompts(pool: PromptPool, query: Tensor, n_sel: int) -> SelectionResu
             sims = (pool.keys.data @ q) / (kn * qn)
         order = np.argsort(-sims, kind="stable")[:n_sel]
     pool.usage[order] += 1
-    pool.selection_calls += 1
     return SelectionResult(indices=[int(i) for i in order],
                            similarities=[float(sims[i]) for i in order],
                            query=query, pool=pool)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dynaprompt.config import ConfigError
 from dynaprompt.corpus import (
     CorpusSpec,
     concept_ngram,
@@ -77,6 +78,11 @@ class TestGenCorpus:
     def test_too_many_concepts_rejected(self):
         with pytest.raises(ValueError):
             CorpusSpec(n_pairs=1, n_concepts=16 * 12 + 1)
+
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_pair_count_below_one_rejected(self, n_pairs):
+        with pytest.raises(ConfigError):
+            CorpusSpec(n_pairs=n_pairs, n_concepts=4)
 
     def test_json_round_trip(self):
         spec = CorpusSpec(n_pairs=5, n_concepts=4)

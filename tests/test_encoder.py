@@ -165,6 +165,18 @@ class TestModelQueries:
                 for sel, q in zip(sels, want):
                     np.testing.assert_allclose(sel.query.data, q, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["image_only", "text_only", "image_text"])
+    def test_queries_on_tape_only_with_pull(self, tiny_config, kind):
+        model, pools = build(tiny_config)
+        batch = make_batch(tiny_config, kind, 2, np.random.default_rng(16))
+        for pull in (False, True):
+            unified = model.unify_inputs(batch, pools, pull=pull)
+            queries = [s.query for s in unified.selections_v
+                       + unified.selections_t]
+            assert len(queries) == (4 if kind == "image_text" else 2)
+            assert all((q.tape_node is not None) == pull for q in queries)
+            assert unified.states.tape_node is not None
+
     def test_text_item_without_real_tokens_rejected(self, tiny_config):
         model, pools = build(tiny_config)
         batch = make_batch(tiny_config, "text_only", 2,

@@ -353,6 +353,23 @@ class TestCli:
         assert "combined_loss" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_gradcheck_without_seeds_is_config_error(self, seeds, capsys):
+        assert cli_main(["gradcheck", "--seeds", seeds]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_gen_corpus_without_pairs_is_config_error(self, small_config,
+                                                      tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path / "c.json", small_config)
+        out = tmp_path / "corpus"
+        code = cli_main(["gen-corpus", "--config", cfg_path,
+                         "--out", str(out), "--pairs", "-3"])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_is_io_error(self, small_config, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path / "c.json", small_config)
         bad = tmp_path / "bad.ckpt"

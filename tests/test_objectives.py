@@ -1,14 +1,15 @@
 """Pre-training losses: masking, the three heads, the weighted combination."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dynaprompt import harness
+from dynaprompt import harness, objectives
 from dynaprompt.config import MASK_ID, PAD_ID, ModelConfig
-from dynaprompt.encoder import VisionLanguageModel, sequence_layout
-from dynaprompt.ndtensor import Tensor, backward, fd_check, ops
+from dynaprompt.encoder import UnifiedBatch, VisionLanguageModel, sequence_layout
+from dynaprompt.ndtensor import Tensor, backward, fd_check, no_grad, ops
 from dynaprompt.ndtensor.tensor import active_tape
 from dynaprompt.objectives import (
     FrozenStep,
@@ -23,7 +24,7 @@ from dynaprompt.objectives import (
     pretrain_step,
 )
 from dynaprompt.optim import AdamW
-from dynaprompt.pools import PromptPools
+from dynaprompt.pools import PromptPools, surrogate_loss
 from tests.conftest import drop_caller_rows, make_batch
 
 
@@ -31,6 +32,50 @@ def build(config, seed=0):
     rng = np.random.default_rng(seed)
     return (VisionLanguageModel(config, rng), PromptPools(config, rng),
             PretrainHeads(config, rng))
+
+
+def desk_batch(config):
+    corpus = harness.default_corpus(config)
+    return harness.batch_from_pairs(corpus.pairs[:config.batch_size], config,
+                                    "image_text")
+
+
+def joint_reference_loss(batch, model, pools, heads, config, corrupted, labels,
+                         overrides):
+    """The four objectives on one tape, consumed by one backward: masked,
+    paired, deranged, image-only and text-only passes with every selection
+    query recorded, then the pull loss and the total."""
+    pair, image, text = (sequence_layout(kind, config) for kind in
+                         ("image_text", "image_only", "text_only"))
+
+    def run(key, ubatch, rows):
+        return model.forward(ubatch, pools, select_override=overrides.get(key),
+                             rows=rows, pull=True)
+
+    b = batch.size
+    enc_mlm, _ = run("mlm", UnifiedBatch("image_text", corrupted,
+                                         batch.patch_features), (pair.text,))
+    l_mlm, _ = mlm_loss(enc_mlm, labels, heads, pair.text.start)
+    enc_pos, uni_pos = run("itm_pos", batch, pair.cls_rows())
+    enc_neg, _ = run("itm_neg", UnifiedBatch(
+        "image_text", np.roll(batch.token_ids, -1, axis=0),
+        batch.patch_features), pair.cls_rows())
+    l_itm = itm_loss(
+        ops.concat([enc_pos.cls_visual, enc_neg.cls_visual], axis=0),
+        ops.concat([enc_pos.cls_textual, enc_neg.cls_textual], axis=0),
+        np.repeat([1, 0], b), heads)
+    enc_img, _ = run("itc_v", UnifiedBatch(
+        "image_only", patch_features=batch.patch_features), image.cls_rows())
+    enc_txt, _ = run("itc_t", UnifiedBatch(
+        "text_only", token_ids=batch.token_ids), text.cls_rows())
+    l_itc = itc_loss(enc_img.cls_visual, enc_txt.cls_textual, heads.temperature)
+    l_p = surrogate_loss(uni_pos.selections_v + uni_pos.selections_t,
+                         batch_size=b)
+    total = ops.add(l_mlm, ops.add(ops.scale(l_itm, config.sigma),
+                                   ops.add(ops.scale(l_itc, config.lambda_),
+                                           ops.scale(l_p, config.beta))))
+    backward(total)
+    return total
 
 
 class TestMlmMasking:
@@ -317,52 +362,113 @@ class TestCombinedLoss:
 
         clean = oracle("image_text", batch.token_ids)
         rolled = oracle("image_text", batch.token_ids[[1, 2, 0]])
-        expect = [clean, clean, rolled, oracle("image_only", None),
-                  oracle("text_only", batch.token_ids)]
+        expect = [oracle("image_only", None),
+                  oracle("text_only", batch.token_ids), clean, rolled, clean]
         assert len(seen) == 5
         for got, want in zip(seen, expect):
             np.testing.assert_array_equal(got, want)
         assert not np.array_equal(clean, rolled)
 
-    def test_desk_step_records_930_tape_nodes(self, desk_config):
+    def test_desk_step_records_769_tape_nodes(self, desk_config, monkeypatch):
         model, pools, heads = build(desk_config)
-        corpus = harness.default_corpus(desk_config)
-        batch = harness.batch_from_pairs(
-            corpus.pairs[:desk_config.batch_size], desk_config, "image_text")
+        batch = desk_batch(desk_config)
+        counts = []
+
+        def spy(loss):
+            node = loss.tape_node
+            counts.append(len(node.tape.nodes) if node is not None else 0)
+            backward(loss)
+
+        monkeypatch.setattr(objectives, "backward", spy)
         before = len(active_tape().nodes)  # another test's leftovers
-        total, _, _ = combined_pretrain_loss(
-            batch, model, pools, heads, desk_config,
-            rng=np.random.default_rng(0))
-        nodes = len(total.tape_node.tape.nodes) - before
-        backward(total)
-        assert nodes == 930
+        combined_pretrain_loss(batch, model, pools, heads, desk_config,
+                               rng=np.random.default_rng(0))
+        assert len(counts) == 3  # one backward per objective group
+        assert sum(counts) - before == 769
+
+    def test_desk_step_numpy_peak_below_40_mb(self, desk_config):
+        """Each group's backward frees its activations before the next
+        group's forward; one joint backward held all five passes (51.6 MiB)."""
+        model, pools, heads = build(desk_config)
+        batch = desk_batch(desk_config)
+        tracemalloc.start()
+        try:
+            combined_pretrain_loss(batch, model, pools, heads, desk_config,
+                                   rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    @staticmethod
+    def _randomize_heads(heads):
+        # zero-initialized heads would send no gradient into the encoder
+        rng = np.random.default_rng(1)
+        for p in (heads.mlm_w, heads.itm_w):
+            p.data[:] = rng.normal(size=p.shape) * 0.1
+
+    @staticmethod
+    def _loss_and_grads(total, model, pools, heads):
+        params = {**model.parameters(), **pools.parameters(),
+                  **heads.parameters()}
+        return (total.data.tobytes(),
+                {k: None if p.grad is None else p.grad.tobytes()
+                 for k, p in params.items()})
 
     def test_desk_step_bitwise_equal_to_every_row(self, desk_config,
                                                   monkeypatch):
         """The five passes' kept rows change no loss or gradient bit."""
-        corpus = harness.default_corpus(desk_config)
-        batch = harness.batch_from_pairs(
-            corpus.pairs[:desk_config.batch_size], desk_config, "image_text")
+        batch = desk_batch(desk_config)
         runs = []
         for dropped in (False, True):
             if dropped:
                 drop_caller_rows(monkeypatch)
             model, pools, heads = build(desk_config)
-            # zero-initialized heads would send no gradient into the encoder
-            rng = np.random.default_rng(1)
-            for p in (heads.mlm_w, heads.itm_w):
-                p.data[:] = rng.normal(size=p.shape) * 0.1
+            self._randomize_heads(heads)
             total, _, _ = combined_pretrain_loss(
                 batch, model, pools, heads, desk_config,
                 rng=np.random.default_rng(0))
-            backward(total)
-            params = {**model.parameters(), **pools.parameters(),
-                      **heads.parameters()}
-            runs.append((total.data.tobytes(),
-                         {k: None if p.grad is None else p.grad.tobytes()
-                          for k, p in params.items()}))
+            runs.append(self._loss_and_grads(total, model, pools, heads))
         assert batch.size == 8 and len(runs[0][1]) == 58
         assert runs[0] == runs[1]
+
+    def _check_joint_reference(self, config, batch, corrupted, labels,
+                               frozen=None, rng=None):
+        runs = []
+        for grouped in (True, False):
+            model, pools, heads = build(config)
+            self._randomize_heads(heads)
+            if grouped:
+                total, _, _ = combined_pretrain_loss(
+                    batch, model, pools, heads, config, rng=rng, frozen=frozen)
+            else:
+                total = joint_reference_loss(
+                    batch, model, pools, heads, config, corrupted, labels,
+                    frozen.overrides if frozen is not None else {})
+            runs.append(self._loss_and_grads(total, model, pools, heads))
+        assert len(runs[0][1]) == 58
+        assert runs[0] == runs[1]
+
+    def test_desk_step_bitwise_equal_to_one_joint_backward(self, desk_config):
+        batch = desk_batch(desk_config)
+        corrupted, labels = apply_mlm_masking(
+            batch.token_ids, desk_config.mask_rate, np.random.default_rng(0),
+            desk_config.vocab_size)
+        assert batch.size == 8
+        self._check_joint_reference(desk_config, batch, corrupted, labels,
+                                    rng=np.random.default_rng(0))
+
+    def test_frozen_step_bitwise_equal_to_one_joint_backward(self,
+                                                             tiny_config):
+        model, pools, heads = build(tiny_config)
+        batch = make_batch(tiny_config, "image_text", 3,
+                           np.random.default_rng(42), text_len=4)
+        with no_grad():
+            _, _, frozen = combined_pretrain_loss(
+                batch, model, pools, heads, tiny_config,
+                rng=np.random.default_rng(43), capture=True)
+        self._check_joint_reference(tiny_config, batch, frozen.corrupted_ids,
+                                    frozen.mlm_labels, frozen=frozen)
 
     def test_gradient_flow_audit(self, tiny_config):
         model, pools, heads = build(tiny_config)
