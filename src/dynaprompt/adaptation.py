@@ -6,6 +6,17 @@ prompt path.  Heads start with zero output layers so an untrained classifier
 emits a uniform distribution.  The caption decoder is a causal self-attention
 stack without cross-attention: encoder image states concatenated with the
 selected textual prompt tokens form its prefix.
+
+Classification, retrieval and the caption prefix get their encoder states
+from ``_encode``.  Under a recording tape it is one ``model.forward`` call,
+so a training pass sums its weight gradients as one batch.  With no tape it
+runs ``model.forward`` over consecutive slices of at most
+``config.batch_size`` items and concatenates the rows each slice keeps, so
+evaluating a corpus holds one training batch's activations at a time.  The
+bits hold because every encoder op computes each item apart.  The heads
+then run once over all rows: a 2-D product's row results depend on its row
+count, so a head applied per slice would change bits.  Caption decoding runs
+slice by slice as well, since the decoder also computes each item apart.
 """
 
 from __future__ import annotations
@@ -15,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BOS_ID, EOS_ID, PAD_ID, ConfigError, ModelConfig
-from .encoder import (KVCache, TransformerLayer, UnifiedBatch,
+from .encoder import (EncodedBatch, KVCache, TransformerLayer, UnifiedBatch,
                       VisionLanguageModel, sequence_layout)
-from .ndtensor import ShapeError, Tensor, backward, no_grad, ops
+from .ndtensor import ShapeError, Tensor, backward, grad_enabled, no_grad, ops
 from .objectives import itc_loss
 from .optim import AdamW
 from .pools import PromptPools
@@ -162,6 +173,41 @@ class TaskHead:
 
 
 # ---------------------------------------------------------------------------
+# encoder states
+# ---------------------------------------------------------------------------
+
+def _batch_slice(batch: UnifiedBatch, start: int, stop: int) -> UnifiedBatch:
+    def part(a):
+        return None if a is None else a[start:stop]
+
+    return UnifiedBatch(kind=batch.kind, token_ids=part(batch.token_ids),
+                        patch_features=part(batch.patch_features))
+
+
+def _encode(model, pools, batch: UnifiedBatch, rows: tuple[slice, ...]
+            ) -> tuple[EncodedBatch, Tensor | None]:
+    """The encoder states at ``rows`` and the projected prompt block (None
+    unless the batch is image_only): one ``model.forward`` call under a
+    tape, else one per slice of at most ``config.batch_size`` items (see
+    the module doc)."""
+    step = model.config.batch_size
+    if grad_enabled() or batch.size <= step:
+        encoded, unified = model.forward(batch, pools, rows=rows)
+        return encoded, unified.prompt_tokens
+    # keep only what callers read, so each slice's activations are freed
+    kept = []
+    for start in range(0, batch.size, step):
+        encoded, unified = model.forward(
+            _batch_slice(batch, start, start + step), pools, rows=rows)
+        kept.append((encoded.token_states, encoded.cls_visual,
+                     encoded.cls_textual, unified.prompt_tokens))
+    token_states, cls_v, cls_t, prompts = (
+        None if parts[0] is None else ops.concat(list(parts), axis=0)
+        for parts in zip(*kept))
+    return EncodedBatch(token_states, cls_v, cls_t), prompts
+
+
+# ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
 
@@ -174,7 +220,7 @@ def _classify_logits(model, pools, batch: UnifiedBatch, head: TaskHead) -> Tenso
         raise ConfigError(f"task {head.task!r} needs {kind!r} batches, "
                           f"got {batch.kind!r}")
     rows = sequence_layout(kind, model.config).cls_rows()
-    encoded, _ = model.forward(batch, pools, rows=rows)
+    encoded, _ = _encode(model, pools, batch, rows)
     if kind == "image_text":
         feats = ops.concat([encoded.cls_visual, encoded.cls_textual], axis=1)
     elif kind == "image_only":
@@ -249,8 +295,8 @@ def encode_retrieval_reps(model, pools, image_batch: UnifiedBatch,
     def cls_rows(batch):
         return sequence_layout(batch.kind, model.config).cls_rows()
 
-    enc_v, _ = model.forward(image_batch, pools, rows=cls_rows(image_batch))
-    enc_t, _ = model.forward(text_batch, pools, rows=cls_rows(text_batch))
+    enc_v, _ = _encode(model, pools, image_batch, cls_rows(image_batch))
+    enc_t, _ = _encode(model, pools, text_batch, cls_rows(text_batch))
     return (ops.matmul(enc_v.cls_visual, head.params["proj_v"]),
             ops.matmul(enc_t.cls_textual, head.params["proj_t"]))
 
@@ -262,10 +308,10 @@ def encode_retrieval_reps(model, pools, image_batch: UnifiedBatch,
 def _image_prefix(model, pools, batch: UnifiedBatch):
     """Encoder image states ([CLS_v] + patches) plus raw prompt tokens."""
     image_stop = sequence_layout(batch.kind, model.config).patches.stop
-    encoded, unified = model.forward(batch, pools,
-                                     rows=(slice(0, image_stop),))
+    encoded, prompt_tokens = _encode(model, pools, batch,
+                                     (slice(0, image_stop),))
     image_states = ops.slice_axis(encoded.token_states, 1, 0, image_stop)
-    return ops.concat([image_states, unified.prompt_tokens], axis=1)
+    return ops.concat([image_states, prompt_tokens], axis=1)
 
 
 def caption_loss(model, pools, decoder: CaptionDecoder,
@@ -290,8 +336,19 @@ def caption_loss(model, pools, decoder: CaptionDecoder,
 
 def generate_report(model, pools, decoder: CaptionDecoder,
                     batch: UnifiedBatch, max_len: int) -> list[list[int]]:
-    """Greedy causal decoding of all rows together; a row stops at the end
-    token or after ``max_len`` tokens.
+    """Greedy causal decoding, ``config.batch_size`` rows at a time; a row
+    stops at the end token or after ``max_len`` tokens."""
+    step = model.config.batch_size
+    return [tokens for start in range(0, batch.size, step)
+            for tokens in _greedy_decode(model, pools, decoder,
+                                         _batch_slice(batch, start,
+                                                      start + step),
+                                         max_len)]
+
+
+def _greedy_decode(model, pools, decoder: CaptionDecoder,
+                   batch: UnifiedBatch, max_len: int) -> list[list[int]]:
+    """Greedy decoding of all rows of ``batch`` together.
 
     The prefix and [BOS] go through the decoder once; each later step feeds
     only the B tokens just chosen, over the per-layer key/value cache.

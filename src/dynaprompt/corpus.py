@@ -40,6 +40,9 @@ class CorpusSpec:
     def __post_init__(self):
         if self.n_pairs < 1:
             raise ConfigError(f"n_pairs must be at least 1, got {self.n_pairs}")
+        if self.n_concepts < 1:
+            raise ConfigError(f"n_concepts must be at least 1, "
+                              f"got {self.n_concepts}")
         if self.n_concepts > self.patch_count * self.patch_dim:
             raise ConfigError("more concepts than distinct motif slots")
         if self.text_len < self.concepts_per_pair * NGRAM_LEN:

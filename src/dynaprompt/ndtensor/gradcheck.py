@@ -124,12 +124,6 @@ def _case_scale(rng):
     return (lambda: ops.sum(ops.scale(a, 2.5))), {"a": a}
 
 
-def _case_add_const(rng):
-    a = _leaf(rng, (2, 4))
-    c = rng.uniform(-1, 1, size=(4,))
-    return (lambda: ops.sum(ops.mul(ops.add_const(a, c), a))), {"a": a}
-
-
 def _case_mul_const(rng):
     a = _leaf(rng, (2, 4))
     c = rng.uniform(-1, 1, size=(2, 4))
@@ -277,7 +271,6 @@ OP_SUITE: dict = {
     "mul": _case_mul,
     "div": _case_div,
     "scale": _case_scale,
-    "add_const": _case_add_const,
     "mul_const": _case_mul_const,
     "pow_const": _case_pow_const,
     "sqrt": _case_sqrt,

@@ -25,7 +25,7 @@ from scipy.special import erf as _erf
 from .tensor import NumericError, ShapeError, Tensor, record_op
 
 __all__ = [
-    "add", "sub", "mul", "div", "scale", "add_const", "mul_const",
+    "add", "sub", "mul", "div", "scale", "mul_const",
     "pow_const", "sqrt", "matmul", "linear", "linear_rows", "permute",
     "reshape", "concat", "slice_axis", "gather_rows", "embedding_lookup",
     "sum", "mean", "rowwise_scale", "softmax", "attention", "cross_entropy",
@@ -97,17 +97,6 @@ def scale(a, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c)
     return record_op(out, (a,), lambda g: (g * c,))
-
-
-def add_const(a, arr) -> Tensor:
-    """Add a non-trainable array; it must broadcast into ``a``'s shape."""
-    a = _as_tensor(a)
-    arr = np.asarray(arr, dtype=np.float64)
-    if np.broadcast_shapes(a.shape, arr.shape) != a.shape:
-        raise ShapeError(f"constant of shape {list(arr.shape)} does not "
-                         f"broadcast into {list(a.shape)}")
-    out = Tensor(a.data + arr)
-    return record_op(out, (a,), lambda g: (g,))
 
 
 def mul_const(a, arr) -> Tensor:
@@ -428,7 +417,7 @@ def attention(q, k, v, mask_add, n_heads: int) -> Tensor:
     the keys weights v, and the heads merge back into [B, Lq, d].
 
     The values and gradients equal those of the composition of reshape,
-    permute, matmul, scale, add_const and softmax bit for bit.  The node
+    permute, matmul, scale, add and softmax bit for bit.  The node
     keeps only what its backward reads: its inputs and the probabilities.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)

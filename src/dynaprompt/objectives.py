@@ -340,7 +340,11 @@ def end_to_end_fd_case(seeds: int = 100, tol: float = 1e-5, h: float = 1e-5,
 
     Selections and masking are captured once per seed and replayed so the
     loss is a smooth function of the parameters (the selection path is
-    non-differentiable by design).  Returns the worst relative error.
+    non-differentiable by design).  The masked-token and matching heads are
+    drawn at random, since zero heads would send no gradient into the
+    encoder.  Returns the worst relative error; raises ``NumericError`` when
+    some checked parameter got a nonzero gradient in none of the seeds, as
+    that parameter's check would hold vacuously.
     """
     from .ndtensor import fd_check
     from .pools import PromptPools as _Pools
@@ -351,11 +355,14 @@ def end_to_end_fd_case(seeds: int = 100, tol: float = 1e-5, h: float = 1e-5,
                          pool_size_t=8, prompt_len_v=2, prompt_len_t=2,
                          n_sel=2, batch_size=2)
     worst = 0.0
+    reached: set[str] = set()
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
         model = VisionLanguageModel(config, rng)
         pools = _Pools(config, rng)
         heads = PretrainHeads(config, rng)
+        for p in (heads.mlm_w, heads.itm_w):
+            p.data[:] = rng.normal(size=p.shape) * 0.1
         token_ids = np.zeros((2, config.max_text_len), dtype=np.int64)
         token_ids[:, :4] = rng.integers(FIRST_CONTENT_ID, config.vocab_size,
                                         size=(2, 4))
@@ -382,7 +389,7 @@ def end_to_end_fd_case(seeds: int = 100, tol: float = 1e-5, h: float = 1e-5,
             "vis_keys": pools.visual.keys,
             "txt_values": pools.textual.values,
             "role_v": pools.visual.role_embeddings["as_visual_context"],
-            "vis_to_txt": pools.vis_to_txt,
+            "txt_keys": pools.textual.keys,
             "mlm_w": heads.mlm_w,
             "itm_w": heads.itm_w,
             "temperature": heads.temperature,
@@ -391,4 +398,11 @@ def end_to_end_fd_case(seeds: int = 100, tol: float = 1e-5, h: float = 1e-5,
                           coords_per_param=coords_per_param,
                           rng=np.random.default_rng(seed + 1))
         worst = max(worst, report.max_rel_error)
+        # fd_check leaves the analytic gradients in place
+        reached |= {name for name, p in params.items()
+                    if p.grad is not None and np.any(p.grad != 0.0)}
+    never = sorted(set(params) - reached)
+    if never:
+        raise NumericError(f"no gradient reached {', '.join(never)} in "
+                           f"{seeds} seeds")
     return worst

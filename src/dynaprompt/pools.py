@@ -212,7 +212,10 @@ class PromptPools:
     """The visual/textual pool pair plus cross-modal query projections.
 
     Projections exist only when the two key dimensions differ (a same-size
-    pool pair can be queried across modalities without a bridge).
+    pool pair can be queried across modalities without a bridge).  They are
+    fixed random maps: a projected query only ranks keys off the tape, and
+    the pull loss reads same-modality queries alone, so no loss reaches them.
+    They stay in ``parameters()`` so that checkpoints hold them.
     """
 
     def __init__(self, config, rng: np.random.Generator):
@@ -224,11 +227,9 @@ class PromptPools:
             s_vt = 1.0 / np.sqrt(config.d_vision)
             s_tv = 1.0 / np.sqrt(config.d_text)
             self.vis_to_txt = Tensor(rng.uniform(-s_vt, s_vt,
-                                                 size=(config.d_vision, config.d_text)),
-                                     requires_grad=True)
+                                                 size=(config.d_vision, config.d_text)))
             self.txt_to_vis = Tensor(rng.uniform(-s_tv, s_tv,
-                                                 size=(config.d_text, config.d_vision)),
-                                     requires_grad=True)
+                                                 size=(config.d_text, config.d_vision)))
         else:
             self.vis_to_txt = None
             self.txt_to_vis = None

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dynaprompt.adaptation import (
+    CLASSIFY_KIND,
+    TASKS,
     CaptionBatch,
     CaptionDecoder,
     LabeledBatch,
@@ -11,6 +13,7 @@ from dynaprompt.adaptation import (
     _image_prefix,
     caption_loss,
     classify,
+    encode_retrieval_reps,
     finetune_loss,
     finetune_step,
     generate_report,
@@ -22,13 +25,24 @@ from dynaprompt.ndtensor import Tensor, backward, no_grad, ops
 from dynaprompt.optim import AdamW
 from dynaprompt.pools import PromptPools
 from dynaprompt.corpus import CorpusSpec, gen_corpus
-from dynaprompt.harness import _labeled_batch, batch_from_pairs
+from dynaprompt.harness import (_caption_batch, _labeled_batch, _task_head,
+                                batch_from_pairs)
 from tests.conftest import drop_caller_rows, make_batch
 
 
 def build(config, seed=0):
     rng = np.random.default_rng(seed)
     return VisionLanguageModel(config, rng), PromptPools(config, rng)
+
+
+def spy_forward_sizes(monkeypatch) -> list[int]:
+    """Record the item count of every ``VisionLanguageModel.forward`` call."""
+    sizes = []
+    forward = VisionLanguageModel.forward
+    monkeypatch.setattr(VisionLanguageModel, "forward",
+                        lambda self, batch, *a, **k:
+                        sizes.append(batch.size) or forward(self, batch, *a, **k))
+    return sizes
 
 
 class TestClassify:
@@ -267,8 +281,11 @@ class TestCaptionDecoder:
 
     @staticmethod
     def _varied_lengths_setup(tiny_config):
-        """Four captions that stop after 4, 2, 6 (= max_len) and 1 tokens."""
-        config = ModelConfig.from_dict({**tiny_config.to_dict(), "dec_layers": 2})
+        """Four captions that stop after 4, 2, 6 (= max_len) and 1 tokens,
+        decoded as one batch: ``batch_size`` 4 makes the four rows one
+        evaluation slice."""
+        config = ModelConfig.from_dict({**tiny_config.to_dict(), "dec_layers": 2,
+                                        "batch_size": 4})
         model, pools = (VisionLanguageModel(config, np.random.default_rng(2)),
                         PromptPools(config, np.random.default_rng(2)))
         dec = CaptionDecoder(config, np.random.default_rng(102),
@@ -430,3 +447,82 @@ class TestTapeIgnoresRows:
         # one [CLS] row of one item: a single-row product would take gemv
         config = ModelConfig.from_dict({**tiny_config.to_dict(), "dec_layers": 2})
         self._check(config, task, monkeypatch, b=1)
+
+
+class TestEvaluationSlices:
+    """With no tape, evaluation encodes ``batch_size`` items at a time and
+    applies each head once over all rows; its outputs equal those of one
+    encoder call per batch byte for byte.  A taped pass stays one call."""
+
+    N_ITEMS = 13
+    WHOLE = 32  # one slice even for pair_classify's 26 rows
+
+    def _evaluate(self, task, batch_size):
+        # desk geometry: a head applied per slice changes bits at this width
+        config = ModelConfig(batch_size=batch_size)
+        pairs = gen_corpus(CorpusSpec.from_model_config(
+            config, n_pairs=self.N_ITEMS), seed=72).pairs
+        model, pools = build(config, seed=70)
+        head = _task_head(config, task, model)
+        rng = np.random.default_rng(71)
+        for p in head.params.values():
+            p.data[:] = rng.normal(size=p.shape)
+        with no_grad():
+            if task in CLASSIFY_KIND:
+                tb = _labeled_batch(pairs, config, task)
+                return [classify(model, pools, tb.batch, head).data.tobytes()]
+            if task == "retrieval":
+                v, t = encode_retrieval_reps(
+                    model, pools, batch_from_pairs(pairs, config, "image_only"),
+                    batch_from_pairs(pairs, config, "text_only"), head)
+                ranking = retrieval_rank(v.data, t.data)
+                return [v.data.tobytes(), t.data.tobytes(),
+                        ranking.i2t_ranking.tobytes(),
+                        ranking.t2i_ranking.tobytes()]
+            head.decoder.out_w.data[:] = rng.normal(
+                size=head.decoder.out_w.shape) * 0.3
+            cb = _caption_batch(pairs, config)
+            return generate_report(model, pools, head.decoder, cb.batch,
+                                   max_len=config.max_gen_len)
+
+    @pytest.mark.parametrize("batch_size", [3, 4])
+    @pytest.mark.parametrize("task", TASKS)
+    def test_slices_equal_one_slice(self, task, batch_size, monkeypatch):
+        sizes = spy_forward_sizes(monkeypatch)
+        whole = self._evaluate(task, self.WHOLE)
+        whole_sizes = list(sizes)  # one call per encoded batch
+        sizes.clear()
+        sliced = self._evaluate(task, batch_size)
+        assert max(sizes) <= batch_size and sum(sizes) == sum(whole_sizes)
+        assert len(sizes) > len(whole_sizes)
+        if task == "generation":  # the rows decode to different captions
+            assert len({tuple(tokens) for tokens in whole}) > 1
+        assert sliced == whole
+
+    def test_taped_pass_is_one_forward_call(self, desk_config, monkeypatch):
+        """A training pass over more rows than ``batch_size`` is not split:
+        that would reorder its weight-gradient sums."""
+        pairs = gen_corpus(CorpusSpec.from_model_config(desk_config),
+                           seed=73).pairs
+        runs = []
+        for batch_size in (desk_config.batch_size, 16):
+            config = ModelConfig.from_dict({**desk_config.to_dict(),
+                                            "batch_size": batch_size})
+            model, pools = build(config, seed=74)
+            head = _task_head(config, "pair_classify", model)
+            head.params["w"].data[:] = np.random.default_rng(75).normal(
+                size=head.params["w"].shape)
+            params = {**model.parameters(), **pools.parameters(),
+                      **head.parameters()}
+            tb = _labeled_batch(pairs[:8], config, "pair_classify")
+            assert tb.batch.size == 16 > desk_config.batch_size
+            sizes = spy_forward_sizes(monkeypatch)
+            finetune_step(tb, model, pools, head, AdamW(params, lr=0.0),
+                          config)
+            monkeypatch.undo()
+            assert sizes == [16]
+            runs.append({k: None if p.grad is None else p.grad.tobytes()
+                         for k, p in params.items()})
+        assert runs[0] == runs[1]
+        assert any(g is not None for k, g in runs[0].items()
+                   if k.startswith("model.layers."))

@@ -84,6 +84,12 @@ class TestGenCorpus:
         with pytest.raises(ConfigError):
             CorpusSpec(n_pairs=n_pairs, n_concepts=4)
 
+    @pytest.mark.parametrize("n_concepts", [0, -3])
+    def test_concept_count_below_one_rejected(self, n_concepts):
+        # 0 used to divide by zero in gen_corpus, -3 to yield negative concepts
+        with pytest.raises(ConfigError):
+            CorpusSpec(n_pairs=4, n_concepts=n_concepts)
+
     def test_json_round_trip(self):
         spec = CorpusSpec(n_pairs=5, n_concepts=4)
         corpus = gen_corpus(spec, seed=8)

@@ -360,7 +360,8 @@ def composed_forward(layer, x, mask_add, cache=None, rows=None):
         mask_add = mask_add[..., np.r_[rows], :]
     scores = ops.scale(ops.matmul(q, ops.permute(k, (0, 1, 3, 2))),
                        1.0 / np.sqrt(d // n_heads))
-    probs = ops.softmax(ops.add_const(scores, mask_add), axis=-1)
+    mask = Tensor(np.broadcast_to(mask_add, scores.shape))
+    probs = ops.softmax(ops.add(scores, mask), axis=-1)
     v = _split_heads(ops.add(ops.matmul(h, layer.wv), layer.bv), n_heads)
     if cache is not None:
         v = cache.v = v if cache.v is None else ops.concat([cache.v, v], axis=2)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dynaprompt.config import ModelConfig
 from dynaprompt.corpus import CorpusSpec, gen_corpus
 from dynaprompt.harness import (
     METRICS_HEADER,
+    _task_head,
     batch_from_pairs,
     build_model,
     default_corpus,
@@ -99,6 +101,25 @@ class TestRunPretrain:
 
 
 class TestRunFinetuneEval:
+    def test_pair_classify_eval_holds_one_slice_of_activations(self,
+                                                               tmp_path):
+        # the 64 rows are encoded batch_size items at a time; all 64 in one
+        # call peaked at 48.6 MiB, 8 at a time at 8.4 MiB
+        config = ModelConfig()
+        corpus = default_corpus(config)
+        model, pools, _ = build_model(config)
+        head = _task_head(config, "pair_classify", model)
+        ckpt = tmp_path / "pair.ckpt"
+        save_checkpoint(ckpt, config, gather_state(model, pools, head=head))
+        tracemalloc.start()
+        try:
+            run_eval(config, corpus, ckpt, "pair_classify", tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * len(corpus) == 64
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+
     def test_eval_twice_identical_metrics(self, small_config, tmp_path):
         corpus = default_corpus(small_config)
         ckpt, _ = run_pretrain(small_config, corpus, tmp_path)

@@ -528,7 +528,7 @@ class TestCombinedLoss:
             "mlm_w": heads.mlm_w,
             "itm_w": heads.itm_w,
             "temperature": heads.temperature,
-            "vis_to_txt": pools.vis_to_txt,
+            "txt_keys": pools.textual.keys,
         }
         report = fd_check(f, params, coords_per_param=4,
                           rng=np.random.default_rng(28))
