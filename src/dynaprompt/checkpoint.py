@@ -11,13 +11,12 @@ Layout (all integers little-endian):
         u64 * rank  extents
         f64 * prod(extents)  row-major payload
     u64       checksum of every preceding byte: the 8-byte blake2b digest
-              for version 2, 64-bit FNV-1a for version 1
 
-Version 1 files stay loadable; saves always write version 2.  The two
-versions differ only in the version field and the trailer's hash, which the
-loader picks from the version before it verifies anything.  A save goes to
-a temporary file in the target's directory that is fsynced and renamed over
-the target, so a crash mid-write leaves the previous checkpoint intact.
+A save goes to a temporary file in the target's directory that is fsynced
+and renamed over the target, so a crash mid-write leaves the previous
+checkpoint intact.  The checksum catches damage, not forgery, so a record
+that does not parse (a name or config snapshot that is not UTF-8, extents
+past the payload) is an ``IntegrityError`` too.
 
 The config snapshot rides along as the reserved tensor "__config__": its
 UTF-8 JSON bytes stored one byte per f64 element, which keeps the container
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import secrets
 import struct
@@ -37,25 +37,12 @@ import numpy as np
 from .config import ModelConfig
 from .pools import IntegrityError
 
-__all__ = ["save_checkpoint", "load_checkpoint", "fnv1a64", "blake2b64",
+__all__ = ["save_checkpoint", "load_checkpoint", "blake2b64",
            "MAGIC", "VERSION", "CONFIG_KEY"]
 
 MAGIC = b"UDCPCKPT"
 VERSION = 2
 CONFIG_KEY = "__config__"
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
-    h = state
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
 
 def blake2b64(data: bytes) -> int:
     """The 8-byte blake2b digest of ``data`` read as a little-endian u64."""
@@ -63,8 +50,6 @@ def blake2b64(data: bytes) -> int:
     return int.from_bytes(digest, "little")
 
 
-# trailer hash of each readable format version
-_CHECKSUMS = {1: fnv1a64, 2: blake2b64}
 _HEADER = len(MAGIC) + 4 + 8  # magic, version, tensor count
 _TRAILER = 8
 
@@ -76,7 +61,14 @@ def _config_tensor(config: ModelConfig) -> np.ndarray:
 
 def _config_from_tensor(arr: np.ndarray) -> ModelConfig:
     raw = arr.astype(np.uint8).tobytes()
-    return ModelConfig.from_json(raw.decode("utf-8"))
+    return ModelConfig.from_json(_utf8(raw, "config snapshot"))
+
+
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise IntegrityError(f"checkpoint {what} is not UTF-8") from None
 
 
 def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray]):
@@ -140,7 +132,7 @@ def _write_atomic(path, data):
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    """Read and verify a v1 or v2 checkpoint; returns (config, tensors)."""
+    """Read and verify a checkpoint; returns (config, tensors)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER + _TRAILER:
@@ -148,12 +140,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     if blob[:len(MAGIC)] != MAGIC:
         raise IntegrityError("bad checkpoint magic")
     version, count = struct.unpack_from("<IQ", blob, len(MAGIC))
-    checksum = _CHECKSUMS.get(version)
-    if checksum is None:
+    if version != VERSION:
         raise IntegrityError(f"unsupported checkpoint version {version}")
     view = memoryview(blob)[:-_TRAILER]
     (stored,) = struct.unpack_from("<Q", blob, len(view))
-    if checksum(view) != stored:
+    if blake2b64(view) != stored:
         raise IntegrityError("checkpoint checksum mismatch")
 
     off = _HEADER
@@ -169,11 +160,15 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = _utf8(bytes(take(name_len)), "tensor name")
         (rank,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(rank))
-        n_elem = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(take(8 * n_elem), dtype="<f8").reshape(shape)
+        payload = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            arr = payload.reshape(shape)
+        except ValueError:  # an empty payload under an oversized extent
+            raise IntegrityError(f"checkpoint extents {list(shape)} are "
+                                 f"too large") from None
         tensors[name] = arr.astype(np.float64)  # own, writable copy
     if off != len(view):
         raise IntegrityError("trailing bytes after the last tensor")

@@ -10,7 +10,9 @@ space:
 
 Single-modality inputs borrow prompts from the contrary pool (selected via a
 cross-modal query projection) so the encoder always sees both kinds of
-context; paired inputs take same-modality prompts.  Selection ranks the
+context; paired inputs take same-modality prompts.  A pass makes one
+``select_prompts`` call per pool over a [B, D] query block, and its one
+record holds every item's [B, n_sel] selection.  Selection ranks the
 queries' values off the tape, so the queries and their projections are
 recorded only when the caller asks for them (``pull``), as pre-training's
 paired pass does for the pool pull loss.  Role embeddings tag each
@@ -279,8 +281,8 @@ class UnifyResult:
     states: Tensor                         # [B, L, d_hidden]
     mask: np.ndarray                       # bool [B, L]
     layout: SequenceLayout
-    selections_v: list[SelectionResult]    # per item, visual pool
-    selections_t: list[SelectionResult]    # per item, textual pool
+    selections_v: SelectionResult | None   # [B, n_sel], visual pool
+    selections_t: SelectionResult | None   # [B, n_sel], textual pool
     prompt_tokens: Tensor | None = None    # projected prompt block(s)
 
 
@@ -369,30 +371,14 @@ class VisionLanguageModel:
         base = Tensor(np.zeros((b, 1, self.config.d_hidden)))
         return ops.add(base, cls_vec)
 
-    def _select_batch(self, pool, queries: list[Tensor], n_sel: int,
-                      override: np.ndarray | None):
-        if override is None:
-            return [select_prompts(pool, q, n_sel) for q in queries]
-        return [SelectionResult(indices=[int(j) for j in idx],
-                                similarities=[0.0] * len(idx), query=q,
-                                pool=pool)
-                for q, idx in zip(queries, override)]
-
-    def _prompt_segment(self, selections, role,
+    def _prompt_segment(self, selection: SelectionResult, role,
                         proj_w: Tensor, proj_b: Tensor) -> Tensor:
         blocks = []
-        for sel in selections:
-            tok = assemble_prompt_tokens(sel, role)
+        for row in selection.indices:
+            tok = assemble_prompt_tokens(selection.pool, row, role)
             blocks.append(ops.reshape(tok, (1,) + tok.shape))
         block = blocks[0] if len(blocks) == 1 else ops.concat(blocks, axis=0)
         return ops.linear(block, proj_w, proj_b)
-
-    @staticmethod
-    def _per_item(queries: Tensor) -> list[Tensor]:
-        """Split [B, D] queries into B vectors of shape [D]."""
-        b, d = queries.shape
-        return [ops.reshape(ops.slice_axis(queries, 0, i, i + 1), (d,))
-                for i in range(b)]
 
     def unify_inputs(self, batch: UnifiedBatch, pools: PromptPools,
                      select_override: dict[str, np.ndarray] | None = None,
@@ -402,18 +388,25 @@ class VisionLanguageModel:
 
         ``select_override`` pins pool selections (keys "visual"/"textual" to
         [B, n_sel] index arrays), used to hold the non-differentiable
-        selection fixed during finite-difference checks.  The selection
-        queries are recorded on the tape only with ``pull``, for a caller
-        that builds the pool pull loss from them.
+        selection fixed during finite-difference checks; a pinned array
+        becomes the pool's record, with zero similarities and no usage
+        counted.  The selection queries are recorded on the tape only with
+        ``pull``, for a caller that builds the pool pull loss from them.
         """
         batch.validate(self.config)
         c = self.config
         layout = sequence_layout(batch.kind, c)
         b = batch.size
         ov = select_override or {}
-        selections_v: list[SelectionResult] = []
-        selections_t: list[SelectionResult] = []
+        selections_v = selections_t = None
         segments: list[Tensor] = []
+
+        def select(pool, queries, key):
+            pinned = ov.get(key)
+            if pinned is None:
+                return select_prompts(pool, queries, c.n_sel)
+            return SelectionResult(np.asarray(pinned), np.zeros(np.shape(pinned)),
+                                   queries, pool)
 
         text_emb = None
         patch_emb = None
@@ -427,20 +420,18 @@ class VisionLanguageModel:
         # them on the tape
         with contextlib.nullcontext() if pull else no_grad():
             if batch.kind == "image_only":
-                tq = [cross_query(q, pools.vis_to_txt)
-                      for q in self._per_item(query_fn(patch_emb))]
+                tq = cross_query(query_fn(patch_emb), pools.vis_to_txt)
             elif batch.kind == "text_only":
-                vq = [cross_query(q, pools.txt_to_vis)
-                      for q in self._per_item(query_fn(text_emb, text_valid))]
+                vq = cross_query(query_fn(text_emb, text_valid),
+                                 pools.txt_to_vis)
             else:
-                vq = self._per_item(query_fn(patch_emb))
-                tq = self._per_item(query_fn(text_emb, text_valid))
+                vq = query_fn(patch_emb)
+                tq = query_fn(text_emb, text_valid)
 
         prompt_tokens = None
         if batch.kind == "image_only":
             # contrary-pool prompts serve the visual context
-            selections_t = self._select_batch(pools.textual, tq, c.n_sel,
-                                              ov.get("textual"))
+            selections_t = select(pools.textual, tq, "textual")
             prompt_tokens = self._prompt_segment(
                 selections_t, RoleTag.VISUAL_CONTEXT,
                 self.text_to_hidden_w, self.text_to_hidden_b)
@@ -449,8 +440,7 @@ class VisionLanguageModel:
                                        self.vis_to_hidden_b))
             segments.append(prompt_tokens)
         elif batch.kind == "text_only":
-            selections_v = self._select_batch(pools.visual, vq, c.n_sel,
-                                              ov.get("visual"))
+            selections_v = select(pools.visual, vq, "visual")
             segments.append(self._prompt_segment(
                 selections_v, RoleTag.TEXTUAL_CONTEXT,
                 self.vis_to_hidden_w, self.vis_to_hidden_b))
@@ -458,10 +448,8 @@ class VisionLanguageModel:
             segments.append(ops.linear(text_emb, self.text_to_hidden_w,
                                        self.text_to_hidden_b))
         else:  # image_text: same-modality prompts on both sides
-            selections_v = self._select_batch(pools.visual, vq, c.n_sel,
-                                              ov.get("visual"))
-            selections_t = self._select_batch(pools.textual, tq, c.n_sel,
-                                              ov.get("textual"))
+            selections_v = select(pools.visual, vq, "visual")
+            selections_t = select(pools.textual, tq, "textual")
             segments.append(self._cls_segment(self.cls_v, b))
             segments.append(ops.linear(patch_emb, self.vis_to_hidden_w,
                                        self.vis_to_hidden_b))

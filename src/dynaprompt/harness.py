@@ -30,7 +30,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig, PAD_ID
 from .corpus import CorpusSpec, SyntheticCorpus, gen_corpus
 from .encoder import UnifiedBatch, VisionLanguageModel
-from .ndtensor import no_grad
+from .ndtensor import Tensor, no_grad
 from .objectives import PretrainHeads, PretrainLossReport, pretrain_step
 from .optim import AdamW
 from .pools import PromptPools
@@ -65,17 +65,19 @@ def build_model(config: ModelConfig):
     return model, pools, PretrainHeads(config, r_heads)
 
 
+def _named_tensors(model, pools, heads, head) -> dict[str, Tensor]:
+    params = {**model.parameters(), **pools.parameters()}
+    for part in (heads, head):
+        if part is not None:
+            params.update(part.parameters())
+    return params
+
+
 def gather_state(model, pools, heads=None, head: TaskHead | None = None
                  ) -> dict[str, np.ndarray]:
     """Snapshot every tensor (copied) plus pool usage counters."""
-    params = {}
-    params.update(model.parameters())
-    params.update(pools.parameters())
-    if heads is not None:
-        params.update(heads.parameters())
-    if head is not None:
-        params.update(head.parameters())
-    state = {name: p.data.copy() for name, p in params.items()}
+    state = {name: p.data.copy() for name, p in
+             _named_tensors(model, pools, heads, head).items()}
     state["pools.visual.usage"] = pools.visual.usage.astype(np.float64)
     state["pools.textual.usage"] = pools.textual.usage.astype(np.float64)
     return state
@@ -84,14 +86,7 @@ def gather_state(model, pools, heads=None, head: TaskHead | None = None
 def restore_state(state: dict[str, np.ndarray], model, pools, heads=None,
                   head: TaskHead | None = None):
     """Load a snapshot back into live objects; geometry must match."""
-    params = {}
-    params.update(model.parameters())
-    params.update(pools.parameters())
-    if heads is not None:
-        params.update(heads.parameters())
-    if head is not None:
-        params.update(head.parameters())
-    for name, p in params.items():
+    for name, p in _named_tensors(model, pools, heads, head).items():
         if name not in state:
             raise ConfigError(f"checkpoint lacks tensor {name!r}")
         arr = state[name]

@@ -7,6 +7,13 @@ index subsets is separable, so sorting is the exact optimizer, not a
 heuristic).  Selection itself is non-differentiable; gradients reach the pool
 only through the concatenated value tokens and through the surrogate pull
 loss that draws selected keys toward their queries.
+
+``select_prompts`` ranks a [B, D] query block in one call, and its one
+``SelectionResult`` holds [B, n_sel] indices and similarities.  Each row
+equals a one-row call's bit for bit.  The taped consumers,
+``assemble_prompt_tokens`` and ``surrogate_loss``, still work one row at a
+time: batching them would reorder the gradient sums into the pool values,
+role embeddings and keys.
 """
 
 from __future__ import annotations
@@ -39,20 +46,21 @@ class RoleTag:
 
 @dataclass
 class SelectionResult:
-    """Outcome of one top-N pool query for a single input."""
+    """Outcome of one top-N pool query per row of a ``[B, D]`` query block."""
 
-    indices: list[int]
-    similarities: list[float]
-    query: Tensor
+    indices: np.ndarray        # int [B, n_sel], similarity order per row
+    similarities: np.ndarray   # [B, n_sel]
+    query: Tensor              # [B, D]
     pool: "PromptPool" = field(repr=False)
 
     def __post_init__(self):
-        if len(set(self.indices)) != len(self.indices):
+        idx, sims = self.indices, self.similarities
+        ranked = np.sort(idx, axis=1)
+        if np.any(ranked[:, 1:] == ranked[:, :-1]):
             raise IntegrityError("selection indices must be distinct")
-        if any(i < 0 or i >= self.pool.pool_size for i in self.indices):
+        if np.any((idx < 0) | (idx >= self.pool.pool_size)):
             raise IntegrityError("selection index outside the pool")
-        if any(s2 > s1 + 1e-12 for s1, s2 in zip(self.similarities,
-                                                 self.similarities[1:])):
+        if np.any(sims[:, 1:] > sims[:, :-1] + 1e-12):
             raise IntegrityError("selection similarities must be non-increasing")
 
 
@@ -116,49 +124,58 @@ def query_fn(embedding: Tensor, valid: np.ndarray | None = None) -> Tensor:
                          (1.0 / counts)[..., None])
 
 
-def cross_query(query: Tensor, projection: Tensor | None) -> Tensor:
-    """Carry a pooled query into the *other* modality's key space.
+def cross_query(queries: Tensor, projection: Tensor | None) -> Tensor:
+    """Carry pooled queries [B, D] into the *other* modality's key space.
 
     ``projection`` is the linear dimension bridge; it may be omitted only
-    when the two key dimensions already agree.
+    when the two key dimensions already agree.  The product is stacked,
+    ``[B, 1, D] @ P``, whose rows equal one-row products bit for bit; a
+    single ``[B, D] @ P`` rounds differently.
     """
     if projection is None:
-        return query
-    if (query.ndim != 1 or projection.ndim != 2
-            or projection.shape[0] != query.shape[0]):
+        return queries
+    if (queries.ndim != 2 or projection.ndim != 2
+            or projection.shape[0] != queries.shape[1]):
         raise ops.ShapeError(f"projection {list(projection.shape)} does not "
-                             f"accept query of shape {list(query.shape)}")
-    d = query.shape[0]
-    return ops.reshape(ops.matmul(ops.reshape(query, (1, d)), projection),
-                       (projection.shape[1],))
+                             f"accept queries of shape {list(queries.shape)}")
+    b, d = queries.shape
+    return ops.reshape(ops.matmul(ops.reshape(queries, (b, 1, d)), projection),
+                       (b, projection.shape[1]))
 
 
-def select_prompts(pool: PromptPool, query: Tensor, n_sel: int) -> SelectionResult:
-    """Pick the ``n_sel`` pool entries whose keys best match ``query`` by cosine.
+def select_prompts(pool: PromptPool, queries: Tensor,
+                   n_sel: int) -> SelectionResult:
+    """Pick, per row of ``queries`` [B, D], the ``n_sel`` pool entries whose
+    keys best match it by cosine.
 
     Ties break toward the lowest index.  The similarity computation runs off
     the tape: gradients flow through :func:`surrogate_loss` and the gathered
-    values, never through the ranking itself.  Usage counters are updated.
+    values, never through the ranking itself.  Usage counters are updated,
+    and each zero-norm row raises the degenerate-cosine flag once.
     """
     if n_sel > pool.pool_size:
         raise ConfigError(f"n_sel {n_sel} exceeds pool size {pool.pool_size}")
-    if query.ndim != 1 or query.shape[0] != pool.key_dim:
-        raise ops.ShapeError(f"query of shape {list(query.shape)} does not "
-                             f"match key_dim {pool.key_dim}")
+    if queries.ndim != 2 or queries.shape[1] != pool.key_dim:
+        raise ops.ShapeError(f"queries of shape {list(queries.shape)} do not "
+                             f"match [B, {pool.key_dim}]")
     with no_grad():
-        q = query.data
-        qn = float(np.linalg.norm(q))
-        if qn == 0.0:
+        q = queries.data
+        keys = pool.keys.data
+        # stacked one-row products, whose rows round like a lone query's;
+        # norm(axis=1), einsum or a [B, D] @ keys.T product do not
+        qn = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+        dots = (keys[None] @ q[:, :, None])[..., 0]
+        live = qn != 0.0
+        sims = np.zeros_like(dots)
+        np.divide(dots, np.linalg.norm(keys, axis=1) * qn, out=sims,
+                  where=live)
+        for _ in range(int(np.count_nonzero(~live))):
             flags.flag_degenerate_cosine()
-            sims = np.zeros(pool.pool_size)
-        else:
-            kn = np.linalg.norm(pool.keys.data, axis=1)
-            sims = (pool.keys.data @ q) / (kn * qn)
-        order = np.argsort(-sims, kind="stable")[:n_sel]
-    pool.usage[order] += 1
-    return SelectionResult(indices=[int(i) for i in order],
-                           similarities=[float(sims[i]) for i in order],
-                           query=query, pool=pool)
+        order = np.argsort(-sims, axis=1, kind="stable")[:, :n_sel]
+    np.add.at(pool.usage, order, 1)
+    return SelectionResult(indices=order,
+                           similarities=np.take_along_axis(sims, order, axis=1),
+                           query=queries, pool=pool)
 
 
 def surrogate_loss(selections: list[SelectionResult],
@@ -166,45 +183,50 @@ def surrogate_loss(selections: list[SelectionResult],
     """Pull selected keys toward their queries: sum of (1 - cos), batch-averaged.
 
     Minimizing this drives each chosen key's direction onto its query.  The
-    divisor defaults to the number of selections; pass the batch size when a
-    batch contributes several selections per item.  Degenerate (zero-norm)
-    queries contribute the constant worst-case value with zero gradient.
+    terms run row by row over each record in turn.  The divisor defaults to
+    the number of rows; pass the batch size when a batch contributes several
+    records.  Degenerate (zero-norm) queries contribute the constant
+    worst-case value with zero gradient.
     """
     if not selections:
         raise ValueError("surrogate_loss on an empty selection list")
     if batch_size is None:
-        batch_size = len(selections)
+        batch_size = sum(len(sel.indices) for sel in selections)
     total = None
     for sel in selections:
-        pool, q = sel.pool, sel.query
-        n = len(sel.indices)
-        if float(np.linalg.norm(q.data)) == 0.0:
-            term = Tensor(float(n))
-        else:
-            keys_sel = ops.gather_rows(pool.keys, np.asarray(sel.indices))
-            dots = ops.reshape(ops.matmul(keys_sel,
-                                          ops.reshape(q, (pool.key_dim, 1))), (n,))
-            kn = ops.sqrt(ops.sum(ops.mul(keys_sel, keys_sel), axis=1))
-            qn = ops.sqrt(ops.sum(ops.mul(q, q)))
-            cos = ops.div(dots, ops.mul(kn, qn))
-            term = ops.sub(Tensor(float(n)), ops.sum(cos))
-        total = term if total is None else ops.add(total, term)
+        pool = sel.pool
+        for i, row in enumerate(sel.indices):
+            n = len(row)
+            if float(np.linalg.norm(sel.query.data[i])) == 0.0:
+                term = Tensor(float(n))
+            else:
+                q = ops.reshape(ops.slice_axis(sel.query, 0, i, i + 1),
+                                (pool.key_dim,))
+                keys_sel = ops.gather_rows(pool.keys, row)
+                dots = ops.reshape(ops.matmul(keys_sel,
+                                              ops.reshape(q, (pool.key_dim, 1))),
+                                   (n,))
+                kn = ops.sqrt(ops.sum(ops.mul(keys_sel, keys_sel), axis=1))
+                qn = ops.sqrt(ops.sum(ops.mul(q, q)))
+                cos = ops.div(dots, ops.mul(kn, qn))
+                term = ops.sub(Tensor(float(n)), ops.sum(cos))
+            total = term if total is None else ops.add(total, term)
     return ops.scale(total, 1.0 / batch_size)
 
 
-def assemble_prompt_tokens(selection: SelectionResult, role: str) -> Tensor:
-    """Concatenate selected value blocks (similarity order) plus a role tag.
+def assemble_prompt_tokens(pool: PromptPool, indices: np.ndarray,
+                           role: str) -> Tensor:
+    """Concatenate one row's selected value blocks (in ``indices`` order)
+    plus a role tag.
 
     Output is [n_sel * prompt_len, key_dim]; the role embedding is added to
     every token so the encoder can tell visual-context prompts from
     textual-context ones.
     """
-    pool = selection.pool
     if role not in pool.role_embeddings:
         raise ConfigError(f"unknown role {role!r}")
-    gathered = ops.gather_rows(pool.values, np.asarray(selection.indices))
-    flat = ops.reshape(gathered,
-                       (len(selection.indices) * pool.prompt_len, pool.key_dim))
+    gathered = ops.gather_rows(pool.values, indices)
+    flat = ops.reshape(gathered, (len(indices) * pool.prompt_len, pool.key_dim))
     return ops.add(flat, pool.role_embeddings[role])
 
 

@@ -83,7 +83,8 @@ class TestCriterion2SelectionOracle:
                 src = int(rng.integers(0, pool_size))
                 pool.keys.data[(src + 1) % pool_size] = pool.keys.data[src]
             query = rng.normal(size=key_dim)
-            got = select_prompts(pool, Tensor(query), n_sel).indices
+            got = select_prompts(pool, Tensor(query[None]),
+                                 n_sel).indices[0].tolist()
             sims = pool.keys.data @ query / (
                 np.linalg.norm(pool.keys.data, axis=1) * np.linalg.norm(query))
             want = sorted(range(pool_size), key=lambda i: (-sims[i], i))[:n_sel]
@@ -97,9 +98,11 @@ class TestCriterion3ScaleInvariance:
             rng = np.random.default_rng(seed)
             pool = PromptPool("textual", 64, 12, 4, rng)
             x = rng.normal(size=(int(rng.integers(1, 10)), 12))
-            base = select_prompts(pool, query_fn(Tensor(x)), 5).indices
+            base = select_prompts(pool, query_fn(Tensor(x[None])),
+                                  5).indices.tolist()
             for c in (1e-3, 1.0, 1e3):
-                got = select_prompts(pool, query_fn(Tensor(c * x)), 5).indices
+                got = select_prompts(pool, query_fn(Tensor(c * x[None])),
+                                     5).indices.tolist()
                 assert got == base, f"seed {seed}, c={c}"
         report(3, "index sequences identical for c in {1e-3, 1, 1e3}")
 

@@ -12,20 +12,20 @@ from dynaprompt.checkpoint import (
     MAGIC,
     VERSION,
     blake2b64,
-    fnv1a64,
     load_checkpoint,
     save_checkpoint,
 )
+from dynaprompt.cli import main as cli_main
 from dynaprompt.config import ModelConfig
 from dynaprompt.pools import IntegrityError
 
 
-def _v1_blob(config, tensors, magic=MAGIC):
-    """A version-1 file built independently of save_checkpoint."""
+def _blob(config, tensors, magic=MAGIC, version=VERSION):
+    """A checkpoint file built independently of save_checkpoint."""
     raw_config = config.to_json().encode("utf-8")
     entries = dict(tensors)
     entries[CONFIG_KEY] = np.frombuffer(raw_config, np.uint8).astype("<f8")
-    parts = [magic, struct.pack("<IQ", 1, len(entries))]
+    parts = [magic, struct.pack("<IQ", version, len(entries))]
     for name in sorted(entries):
         arr = np.asarray(entries[name], dtype="<f8")
         raw_name = name.encode("utf-8")
@@ -33,7 +33,7 @@ def _v1_blob(config, tensors, magic=MAGIC):
                   struct.pack("<B", arr.ndim),
                   struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.tobytes()]
     body = b"".join(parts)
-    return body + struct.pack("<Q", fnv1a64(body))
+    return body + _blake2b_trailer(body)
 
 
 def _blake2b_trailer(body):
@@ -56,14 +56,6 @@ def sample_state():
         "scalar": np.float64(0.07).reshape(()),
         "cube": rng.normal(size=(2, 3, 2)),
     }
-
-
-class TestFnv1a:
-    def test_known_vectors(self):
-        # reference values of 64-bit FNV-1a
-        assert fnv1a64(b"") == 0xCBF29CE484222325
-        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-        assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
 class TestRoundTrip:
@@ -101,18 +93,18 @@ class TestRoundTrip:
 
 class TestIntegrity:
     def test_header_layout(self, tmp_path, sample_state):
-        # v1: FNV-1a trailer; v2 keeps every other byte of the layout
-        blob = _v1_blob(ModelConfig(), sample_state)
+        # a file built from the layout alone equals save_checkpoint's
+        blob = _blob(ModelConfig(), sample_state)
         assert blob[:8] == MAGIC
-        assert struct.unpack("<I", blob[8:12])[0] == 1
+        assert struct.unpack("<I", blob[8:12])[0] == VERSION
         count = struct.unpack("<Q", blob[12:20])[0]
         assert count == len(sample_state) + 1  # + config snapshot
-        assert fnv1a64(blob[:-8]) == struct.unpack("<Q", blob[-8:])[0]
+        assert blake2b64(blob[:-8]) == struct.unpack("<Q", blob[-8:])[0]
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, ModelConfig(), sample_state)
         v2 = path.read_bytes()
         assert len(v2) == len(blob)
-        assert v2[:8] == blob[:8] and v2[12:-8] == blob[12:-8]
+        assert v2 == blob
 
     def test_header_layout_v2(self, tmp_path, sample_state):
         path = tmp_path / "x.ckpt"
@@ -125,20 +117,12 @@ class TestIntegrity:
         assert blob[-8:] == _blake2b_trailer(blob[:-8])
         assert blake2b64(blob[:-8]) == struct.unpack("<Q", blob[-8:])[0]
 
-    def test_v1_round_trips_bit_exact(self, tmp_path, sample_state):
+    def test_version_1_rejected(self, tmp_path, sample_state):
+        # version 1 (FNV-1a trailer) is no longer read
         path = tmp_path / "x.ckpt"
-        config = ModelConfig(d_hidden=32, n_heads=2, seed=99, lambda_=0.55)
-        path.write_bytes(_v1_blob(config, sample_state))
-        loaded_config, tensors = load_checkpoint(path)
-        _assert_state_equal(tensors, sample_state)
-        assert loaded_config.to_dict() == config.to_dict()
-
-    def test_v1_corrupted_payload_detected(self, tmp_path, sample_state):
-        path = tmp_path / "x.ckpt"
-        blob = bytearray(_v1_blob(ModelConfig(), sample_state))
-        blob[40] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(IntegrityError, match="checksum"):
+        path.write_bytes(_blob(ModelConfig(), sample_state, version=1))
+        with pytest.raises(IntegrityError,
+                           match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
     def test_flipped_trailer_detected(self, tmp_path, sample_state):
@@ -180,7 +164,7 @@ class TestIntegrity:
     def test_bad_magic_detected(self, tmp_path, sample_state):
         path = tmp_path / "x.ckpt"
         # the checksum is consistent, so the magic check itself fires
-        blob = _v1_blob(ModelConfig(), sample_state, magic=b"XDCPCKPT")
+        blob = _blob(ModelConfig(), sample_state, magic=b"XDCPCKPT")
         path.write_bytes(blob)
         with pytest.raises(IntegrityError, match="magic"):
             load_checkpoint(path)
@@ -199,6 +183,31 @@ class TestIntegrity:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "nope.ckpt")
+
+
+class TestMalformedRecords:
+    """The checksum proves no authorship: anyone can seal a file whose
+    records do not parse, and loading it must still fail as an integrity
+    error, which the command line reports as an i/o error (exit 3)."""
+
+    @pytest.mark.parametrize("old, new", [
+        (b"a.weights", b"a.weight\xff"),
+        (b"a.weights" + struct.pack("<B2Q", 2, 3, 4),
+         b"a.weights" + struct.pack("<B2Q", 2, 2**62, 4)),
+        (struct.pack("<d", ord("{")), struct.pack("<d", 0xFF)),
+    ], ids=["non_utf8_name", "extents_overflow_int64", "non_utf8_config"])
+    def test_resealed_record_exits_three(self, tmp_path, capsys,
+                                         sample_state, old, new):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, ModelConfig(), sample_state)
+        body = path.read_bytes()[:-8]
+        assert body.count(old) == 1
+        body = body.replace(old, new)
+        path.write_bytes(body + _blake2b_trailer(body))
+        code = cli_main(["inspect-pool", "--checkpoint", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "i/o error" in capsys.readouterr().err
 
 
 class TestCrashSafeWrite:

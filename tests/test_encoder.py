@@ -108,11 +108,11 @@ class TestUnifyLayout:
         v2h = patch_emb @ model.vis_to_hidden_w.data + model.vis_to_hidden_b.data
         pieces = []
         for b in range(2):
-            sv = unified.selections_v[b]
-            st = unified.selections_t[b]
-            pv = (pools.visual.values.data[sv.indices].reshape(-1, c.d_vision)
+            sv = unified.selections_v.indices[b]
+            st = unified.selections_t.indices[b]
+            pv = (pools.visual.values.data[sv].reshape(-1, c.d_vision)
                   + pools.visual.role_embeddings["as_visual_context"].data)
-            pt = (pools.textual.values.data[st.indices].reshape(-1, c.d_text)
+            pt = (pools.textual.values.data[st].reshape(-1, c.d_text)
                   + pools.textual.role_embeddings["as_textual_context"].data)
             pv = pv @ model.vis_to_hidden_w.data + model.vis_to_hidden_b.data
             pt = pt @ model.text_to_hidden_w.data + model.text_to_hidden_b.data
@@ -161,9 +161,10 @@ class TestModelQueries:
                 want_v, want_t = patch_q, text_q
             for sels, want in ((unified.selections_v, want_v),
                                (unified.selections_t, want_t)):
-                assert len(sels) == len(want)
-                for sel, q in zip(sels, want):
-                    np.testing.assert_allclose(sel.query.data, q, atol=1e-12)
+                rows = [] if sels is None else sels.query.data
+                assert len(rows) == len(want)
+                for row, q in zip(rows, want):
+                    np.testing.assert_allclose(row, q, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["image_only", "text_only", "image_text"])
     def test_queries_on_tape_only_with_pull(self, tiny_config, kind):
@@ -171,9 +172,11 @@ class TestModelQueries:
         batch = make_batch(tiny_config, kind, 2, np.random.default_rng(16))
         for pull in (False, True):
             unified = model.unify_inputs(batch, pools, pull=pull)
-            queries = [s.query for s in unified.selections_v
-                       + unified.selections_t]
-            assert len(queries) == (4 if kind == "image_text" else 2)
+            queries = [s.query for s in (unified.selections_v,
+                                         unified.selections_t)
+                       if s is not None]
+            assert sum(len(q.data) for q in queries) == (
+                4 if kind == "image_text" else 2)
             assert all((q.tape_node is not None) == pull for q in queries)
             assert unified.states.tape_node is not None
 
@@ -499,8 +502,8 @@ class TestEncoderProperties:
 
         probe = model.unify_inputs(batch, pools)
         override = {
-            "visual": np.array([s.indices for s in probe.selections_v]),
-            "textual": np.array([s.indices for s in probe.selections_t]),
+            "visual": probe.selections_v.indices,
+            "textual": probe.selections_t.indices,
         }
         wsum = np.random.default_rng(14).normal(
             size=(2, tiny_config.d_hidden))

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dynaprompt import encoder
 from dynaprompt.checkpoint import load_checkpoint, save_checkpoint
 from dynaprompt.cli import main as cli_main
 from dynaprompt.config import ModelConfig
@@ -119,6 +120,27 @@ class TestRunFinetuneEval:
             tracemalloc.stop()
         assert 2 * len(corpus) == 64
         assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_pair_classify_eval_selects_once_per_pool_per_slice(
+            self, tmp_path, monkeypatch):
+        # 64 rows in slices of 8: eight image-text passes, each selecting
+        # from both pools over its whole slice at once
+        config = ModelConfig()
+        corpus = default_corpus(config)
+        model, pools, _ = build_model(config)
+        head = _task_head(config, "pair_classify", model)
+        ckpt = tmp_path / "pair.ckpt"
+        save_checkpoint(ckpt, config, gather_state(model, pools, head=head))
+        rows = []
+        select = encoder.select_prompts
+
+        def spy(pool, queries, n_sel):
+            rows.append(queries.shape[0])
+            return select(pool, queries, n_sel)
+
+        monkeypatch.setattr(encoder, "select_prompts", spy)
+        run_eval(config, corpus, ckpt, "pair_classify", tmp_path)
+        assert rows == [config.batch_size] * 16
 
     def test_eval_twice_identical_metrics(self, small_config, tmp_path):
         corpus = default_corpus(small_config)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynaprompt import harness, objectives
+from dynaprompt import encoder, harness, objectives
 from dynaprompt.config import MASK_ID, PAD_ID, ModelConfig
 from dynaprompt.encoder import UnifiedBatch, VisionLanguageModel, sequence_layout
 from dynaprompt.ndtensor import Tensor, backward, fd_check, no_grad, ops
@@ -69,7 +69,7 @@ def joint_reference_loss(batch, model, pools, heads, config, corrupted, labels,
     enc_txt, _ = run("itc_t", UnifiedBatch(
         "text_only", token_ids=batch.token_ids), text.cls_rows())
     l_itc = itc_loss(enc_img.cls_visual, enc_txt.cls_textual, heads.temperature)
-    l_p = surrogate_loss(uni_pos.selections_v + uni_pos.selections_t,
+    l_p = surrogate_loss([uni_pos.selections_v, uni_pos.selections_t],
                          batch_size=b)
     total = ops.add(l_mlm, ops.add(ops.scale(l_itm, config.sigma),
                                    ops.add(ops.scale(l_itc, config.lambda_),
@@ -385,6 +385,25 @@ class TestCombinedLoss:
                                rng=np.random.default_rng(0))
         assert len(counts) == 3  # one backward per objective group
         assert sum(counts) - before == 769
+
+    def test_desk_step_makes_one_selection_per_pool_per_pass(self,
+                                                             desk_config,
+                                                             monkeypatch):
+        """The five passes select from 1 + 1 + 2 + 2 + 2 pools, each call
+        over the whole batch; one call per item would make 64."""
+        model, pools, heads = build(desk_config)
+        batch = desk_batch(desk_config)
+        rows = []
+        select = encoder.select_prompts
+
+        def spy(pool, queries, n_sel):
+            rows.append(queries.shape[0])
+            return select(pool, queries, n_sel)
+
+        monkeypatch.setattr(encoder, "select_prompts", spy)
+        combined_pretrain_loss(batch, model, pools, heads, desk_config,
+                               rng=np.random.default_rng(0))
+        assert rows == [desk_config.batch_size] * 8
 
     def test_desk_step_numpy_peak_below_40_mb(self, desk_config):
         """Each group's backward frees its activations before the next

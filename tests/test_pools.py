@@ -80,7 +80,7 @@ class TestQueryFn:
 class TestCrossQuery:
     def test_identity_projection_equals_query_fn(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(4, 6)))
+        x = Tensor(rng.normal(size=(1, 4, 6)))
         got = cross_query(query_fn(x), Tensor(np.eye(6)))
         np.testing.assert_allclose(got.data, query_fn(x).data, atol=1e-15)
 
@@ -92,36 +92,36 @@ class TestCrossQuery:
 
     def test_zero_input_gives_zero_query(self):
         proj = Tensor(np.random.default_rng(3).normal(size=(6, 4)))
-        out = cross_query(query_fn(Tensor(np.zeros((3, 6)))), proj)
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        out = cross_query(query_fn(Tensor(np.zeros((1, 3, 6)))), proj)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_matches_matmul_after_mean_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 6))
         w = rng.normal(size=(6, 4))
-        oracle = x.mean(axis=0) @ w
-        got = cross_query(query_fn(Tensor(x)), Tensor(w))
+        oracle = (x.mean(axis=0) @ w)[None]
+        got = cross_query(query_fn(Tensor(x[None])), Tensor(w))
         np.testing.assert_allclose(got.data, oracle, atol=1e-12)
 
     def test_projection_must_accept_query(self):
         with pytest.raises(ops.ShapeError):
-            cross_query(Tensor(np.ones(6)), Tensor(np.ones((5, 4))))
+            cross_query(Tensor(np.ones((1, 6))), Tensor(np.ones((5, 4))))
 
 
 class TestSelectPrompts:
     def test_orthonormal_basis_keys(self):
         pool = make_pool(pool_size=3, key_dim=3)
         pool.keys.data[:] = np.eye(3)
-        sel = select_prompts(pool, Tensor([0.0, 1.0, 0.0]), 1)
-        assert sel.indices == [1]
-        assert sel.similarities == [pytest.approx(1.0, abs=1e-12)]
+        sel = select_prompts(pool, Tensor([[0.0, 1.0, 0.0]]), 1)
+        assert sel.indices.tolist() == [[1]]
+        assert sel.similarities.tolist() == [[pytest.approx(1.0, abs=1e-12)]]
 
     def test_tie_breaks_to_lowest_index(self):
         pool = make_pool(pool_size=4, key_dim=2)
         pool.keys.data[:] = np.array([[0.0, 1.0], [1.0, 0.0],
                                       [1.0, 0.0], [0.0, -1.0]])
-        sel = select_prompts(pool, Tensor([1.0, 0.0]), 2)
-        assert sel.indices == [1, 2]
+        sel = select_prompts(pool, Tensor([[1.0, 0.0]]), 2)
+        assert sel.indices.tolist() == [[1, 2]]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
@@ -134,60 +134,111 @@ class TestSelectPrompts:
                 dup = int(rng.integers(0, pool_size))
                 pool.keys.data[(dup + 1) % pool_size] = pool.keys.data[dup]
             q = rng.normal(size=key_dim)
-            sel = select_prompts(pool, Tensor(q), n_sel)
-            assert sel.indices == brute_force_top_n(pool.keys.data, q, n_sel)
+            sel = select_prompts(pool, Tensor(q[None]), n_sel)
+            assert sel.indices[0].tolist() == brute_force_top_n(pool.keys.data,
+                                                                q, n_sel)
 
     def test_scale_invariance_of_selection(self):
         rng = np.random.default_rng(6)
         pool = make_pool(pool_size=32, key_dim=8)
-        x = rng.normal(size=(5, 8))
-        base = select_prompts(pool, query_fn(Tensor(x)), 5).indices
+        x = rng.normal(size=(1, 5, 8))
+        base = select_prompts(pool, query_fn(Tensor(x)), 5).indices.tolist()
         for c in (1e-3, 1.0, 1e3):
-            got = select_prompts(pool, query_fn(Tensor(c * x)), 5).indices
+            got = select_prompts(pool, query_fn(Tensor(c * x)), 5).indices.tolist()
             assert got == base
 
     def test_determinism_bit_exact(self):
         rng = np.random.default_rng(7)
         pool = make_pool(pool_size=16, key_dim=5)
-        q = Tensor(rng.normal(size=5))
+        q = Tensor(rng.normal(size=(1, 5)))
         a = select_prompts(pool, q, 4)
         b = select_prompts(pool, q, 4)
-        assert a.indices == b.indices
-        assert a.similarities == b.similarities  # identical floats
+        assert a.indices.tolist() == b.indices.tolist()
+        assert a.similarities.tolist() == b.similarities.tolist()  # identical floats
 
     def test_n_sel_exceeding_pool_size(self):
         pool = make_pool(pool_size=3)
         with pytest.raises(ConfigError):
-            select_prompts(pool, Tensor(np.ones(6)), 4)
+            select_prompts(pool, Tensor(np.ones((1, 6))), 4)
 
     def test_usage_counter_invariant(self):
         rng = np.random.default_rng(8)
         pool = make_pool(pool_size=10, key_dim=4)
         calls = 17
         for _ in range(calls):
-            select_prompts(pool, Tensor(rng.normal(size=4)), 3)
+            select_prompts(pool, Tensor(rng.normal(size=(1, 4))), 3)
         assert pool.usage.sum() == calls * 3
 
     def test_index_outside_pool_rejected(self):
         pool = make_pool(pool_size=4, key_dim=3)
         with pytest.raises(IntegrityError):
-            SelectionResult(indices=[1, 4], similarities=[0.0, 0.0],
-                            query=Tensor(np.ones(3)), pool=pool)
+            SelectionResult(indices=np.array([[1, 4]]),
+                            similarities=np.zeros((1, 2)),
+                            query=Tensor(np.ones((1, 3))), pool=pool)
 
     def test_zero_query_flags_degenerate(self):
         pool = make_pool()
         flags.reset()
-        sel = select_prompts(pool, Tensor(np.zeros(6)), 2)
+        sel = select_prompts(pool, Tensor(np.zeros((1, 6))), 2)
         assert flags.degenerate_cosine == 1
-        assert sel.similarities == [0.0, 0.0]
+        assert sel.similarities.tolist() == [[0.0, 0.0]]
+
+
+class TestBatchedSelection:
+    """One call over a [B, D] block equals B one-row calls bit for bit."""
+
+    @pytest.mark.parametrize("b", [1, 7, 64])
+    def test_block_equals_single_rows(self, b):
+        rng = np.random.default_rng(b)
+        pools = [make_pool(pool_size=24, key_dim=8, seed=30) for _ in range(2)]
+        for pool in pools:  # duplicated keys tie
+            pool.keys.data[5] = pool.keys.data[2]
+            pool.keys.data[9] = pool.keys.data[2]
+        q = rng.normal(size=(b, 8))
+        q[2::4] = pools[0].keys.data[2] * 3.0  # rows that hit the tie
+        q[1::3] = 0.0  # degenerate rows
+        flags.reset()
+        block = select_prompts(pools[0], Tensor(q), 5)
+        block_flags = flags.degenerate_cosine
+        flags.reset()
+        rows = [select_prompts(pools[1], Tensor(q[i:i + 1]), 5)
+                for i in range(b)]
+        assert block_flags == flags.degenerate_cosine == len(q[1::3])
+        assert block.indices.shape == block.similarities.shape == (b, 5)
+        np.testing.assert_array_equal(
+            block.indices, np.concatenate([r.indices for r in rows]))
+        assert block.similarities.tobytes() == np.concatenate(
+            [r.similarities for r in rows]).tobytes()
+        np.testing.assert_array_equal(pools[0].usage, pools[1].usage)
+        assert pools[0].usage.sum() == 5 * b
+        # and each live row's cosines are the one-vector formula's bits
+        keys = pools[0].keys.data
+        kn = np.linalg.norm(keys, axis=1)
+        for i in range(b):
+            if q[i].any():
+                sims = (keys @ q[i]) / (kn * float(np.linalg.norm(q[i])))
+                assert (block.similarities[i].tobytes()
+                        == sims[block.indices[i]].tobytes())
+
+    @pytest.mark.parametrize("indices, sims, match", [
+        ([[0, 1], [3, 3]], [[0.9, 0.5], [0.4, 0.4]], "distinct"),
+        ([[0, 1], [2, 8]], [[0.9, 0.5], [0.4, 0.3]], "outside"),
+        ([[0, 1], [2, 3]], [[0.9, 0.5], [0.3, 0.4]], "non-increasing"),
+    ])
+    def test_record_checks_every_row(self, indices, sims, match):
+        pool = make_pool(pool_size=8, key_dim=3)
+        with pytest.raises(IntegrityError, match=match):
+            SelectionResult(indices=np.array(indices),
+                            similarities=np.array(sims),
+                            query=Tensor(np.ones((2, 3))), pool=pool)
 
 
 class TestSurrogateLoss:
     def test_zero_when_keys_equal_queries(self):
         pool = make_pool(pool_size=4, key_dim=3)
-        q = Tensor(pool.keys.data[2].copy())
+        q = Tensor(pool.keys.data[2:3].copy())
         sel = select_prompts(pool, q, 1)
-        assert sel.indices == [2]
+        assert sel.indices.tolist() == [[2]]
         assert surrogate_loss([sel]).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_keys_give_n_sel(self):
@@ -198,18 +249,18 @@ class TestSurrogateLoss:
             pool.keys.data[i, i % 4] = 1.0  # live in coords 0..3
         q = np.zeros(8)
         q[5] = 2.0  # orthogonal to every key
-        sel = select_prompts(pool, Tensor(q), 5)
+        sel = select_prompts(pool, Tensor(q[None]), 5)
         assert surrogate_loss([sel]).item() == pytest.approx(5.0, abs=1e-12)
 
     def test_matches_hand_composed_oracle_and_fd(self):
         rng = np.random.default_rng(9)
         pool = make_pool(pool_size=12, key_dim=6, seed=10)
         q_data = rng.normal(size=6)
-        q = Tensor(q_data, requires_grad=True)
+        q = Tensor(q_data[None], requires_grad=True)
         sel = select_prompts(pool, q, 4)
 
         expected = 0.0
-        for i in sel.indices:
+        for i in sel.indices[0]:
             k = pool.keys.data[i]
             expected += 1.0 - (k @ q_data) / (np.linalg.norm(k) * np.linalg.norm(q_data))
         loss = surrogate_loss([sel])
@@ -221,11 +272,11 @@ class TestSurrogateLoss:
 
     def test_gradient_isolation_unselected_keys(self):
         pool = make_pool(pool_size=10, key_dim=5, seed=11)
-        q = Tensor(np.random.default_rng(12).normal(size=5))
+        q = Tensor(np.random.default_rng(12).normal(size=(1, 5)))
         sel = select_prompts(pool, q, 3)
         backward(surrogate_loss([sel]))
         grad = pool.keys.grad
-        selected = set(sel.indices)
+        selected = set(sel.indices[0].tolist())
         for i in range(10):
             if i in selected:
                 assert np.any(grad[i] != 0.0)
@@ -235,11 +286,11 @@ class TestSurrogateLoss:
     def test_descent_over_ten_sgd_steps(self):
         rng = np.random.default_rng(13)
         pool = make_pool(pool_size=16, key_dim=6, seed=13)
-        queries = [Tensor(rng.normal(size=6)) for _ in range(4)]
+        queries = Tensor(rng.normal(size=(4, 6)))
         prev = None
         for _ in range(10):
-            sels = [select_prompts(pool, q, 3) for q in queries]
-            loss = surrogate_loss(sels, batch_size=len(queries))
+            sels = [select_prompts(pool, queries, 3)]
+            loss = surrogate_loss(sels, batch_size=len(queries.data))
             pool.keys.grad = None
             backward(loss)
             val = loss.item()
@@ -257,25 +308,25 @@ class TestSurrogateLoss:
 class TestAssemblePromptTokens:
     def test_output_shape(self):
         pool = make_pool(pool_size=5, key_dim=4, prompt_len=2)
-        sel = select_prompts(pool, Tensor(np.ones(4)), 1)
-        out = assemble_prompt_tokens(sel, RoleTag.VISUAL_CONTEXT)
+        sel = select_prompts(pool, Tensor(np.ones((1, 4))), 1)
+        out = assemble_prompt_tokens(pool, sel.indices[0], RoleTag.VISUAL_CONTEXT)
         assert out.shape == (2, 4)
 
     def test_zero_role_embedding_is_identity(self):
         pool = make_pool(pool_size=5, key_dim=4, prompt_len=2, seed=14)
         pool.role_embeddings[RoleTag.TEXTUAL_CONTEXT].data[:] = 0.0
-        sel = select_prompts(pool, Tensor(np.ones(4)), 2)
-        out = assemble_prompt_tokens(sel, RoleTag.TEXTUAL_CONTEXT)
-        expected = pool.values.data[sel.indices].reshape(4, 4)
+        sel = select_prompts(pool, Tensor(np.ones((1, 4))), 2)
+        out = assemble_prompt_tokens(pool, sel.indices[0], RoleTag.TEXTUAL_CONTEXT)
+        expected = pool.values.data[sel.indices[0]].reshape(4, 4)
         np.testing.assert_array_equal(out.data, expected)
 
     def test_matches_gather_then_add_oracle(self):
         pool = make_pool(pool_size=9, key_dim=5, prompt_len=4, seed=15)
-        sel = select_prompts(pool, Tensor(np.random.default_rng(16).normal(size=5)), 3)
+        sel = select_prompts(pool, Tensor(np.random.default_rng(16).normal(size=(1, 5))), 3)
         role = RoleTag.VISUAL_CONTEXT
-        oracle = (pool.values.data[sel.indices].reshape(12, 5)
+        oracle = (pool.values.data[sel.indices[0]].reshape(12, 5)
                   + pool.role_embeddings[role].data)
-        out = assemble_prompt_tokens(sel, role)
+        out = assemble_prompt_tokens(pool, sel.indices[0], role)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
     def test_exactly_two_role_embeddings_per_pool(self):
