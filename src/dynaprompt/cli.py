@@ -15,6 +15,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .config import ConfigError, ModelConfig
@@ -135,6 +136,9 @@ def _cmd_gradcheck(args) -> int:
     from .objectives import end_to_end_fd_case
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        # inf passes every case; 0, negatives and nan fail every case
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     ok, worst = run_op_suite(seeds=args.seeds, tol=args.tol)
     for name in sorted(worst):
         status = "PASS" if worst[name] < args.tol else "FAIL"

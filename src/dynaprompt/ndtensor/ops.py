@@ -20,7 +20,6 @@ it bit for bit there.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .tensor import NumericError, ShapeError, Tensor, record_op
 
@@ -550,12 +549,83 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return record_op(out, (x, gain, bias), grad_fn)
 
 
+# Cephes ndtr.c coefficients: erf on |x| <= 1 (T, U), erfc on 1 < |x| < 8
+# (P, Q).
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+
+
+def _polevl(z: np.ndarray, coef) -> np.ndarray:
+    """Cephes ``polevl``: Horner's rule, one rounding per step (no FMA)."""
+    y = coef[0] * z
+    y += coef[1]
+    for c in coef[2:]:
+        y *= z
+        y += c
+    return y
+
+
+def _p1evl(z: np.ndarray, coef) -> np.ndarray:
+    """Cephes ``p1evl``: ``_polevl`` with an implied leading 1.0."""
+    y = z + coef[0]
+    for c in coef[1:]:
+        y *= z
+        y += c
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function, equal bit for bit to Cephes ``erf`` (ndtr.c):
+    the same float operations in the same order.
+
+    |x| <= 1 takes the rational form in x*x, which is odd, so it runs on the
+    signed x.  1 < |x| < 6 takes 1 - erfc(|x|) with its sign copied back.
+    From |x| = 6 on erfc is below 2**-54 and the result is exactly +-1.0, so
+    |x| is clamped to 6 there; this also covers +-inf.  NaN stays NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x * x
+        out = x * _polevl(z, _ERF_T)
+        out /= _p1evl(z, _ERF_U)
+        idx = np.flatnonzero(z > 1.0)
+        if idx.size:
+            xb = np.take(x, idx)
+            a = np.minimum(np.abs(xb), 6.0)
+            e = a * a
+            np.negative(e, out=e)
+            # Cephes calls libm's exp.  numpy's float64 exp is its own SIMD
+            # code and differs from libm in the last bit on some inputs;
+            # its complex exp is C99 cexp, whose real part at a zero
+            # imaginary part is libm's exp(re) * 1.0.
+            e = np.exp(e.astype(np.complex128)).real
+            e *= _polevl(a, _ERFC_P)
+            e /= _p1evl(a, _ERFC_Q)
+            np.subtract(1.0, e, out=a)
+            np.copysign(a, xb, out=a)
+            np.put(out, idx, a)
+    return out
+
+
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(a) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Exact Gaussian error linear unit, x * (1 + erf(x / sqrt 2)) / 2, with
+    ``_erf`` in numpy; its gradient uses ``np.exp`` for the density."""
     a = _as_tensor(a)
     cdf = _erf(a.data * _INV_SQRT2)
     cdf += 1.0

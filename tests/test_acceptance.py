@@ -35,6 +35,7 @@ from dynaprompt.objectives import (
 )
 from dynaprompt.pools import PromptPool, PromptPools, query_fn, select_prompts
 from tests.conftest import make_batch
+from tests.golden import assert_golden, sha256_file
 
 
 def report(criterion, detail):
@@ -227,7 +228,10 @@ class TestCriterion8DeterminismPersistence:
         (ck_a, me_a), (ck_b, me_b) = paths
         assert open(ck_a, "rb").read() == open(ck_b, "rb").read()
         assert open(me_a, "rb").read() == open(me_b, "rb").read()
-        report(8, "checkpoints and metrics byte-identical across runs")
+        assert_golden("criterion8_checkpoint", sha256_file(ck_a))
+        assert_golden("criterion8_metrics_csv", sha256_file(me_a))
+        report(8, "checkpoints and metrics byte-identical across runs "
+                  "and equal to the golden digests")
 
     def test_round_trip_forward_zero_ulps(self, desk_run):
         config, corpus = desk_run["config"], desk_run["corpus"]

@@ -403,6 +403,14 @@ class TestCli:
         assert "config error" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan"])
+    def test_gradcheck_tolerance_not_finite_positive_is_config_error(
+            self, tol, capsys):
+        assert cli_main(["gradcheck", "--seeds", "1", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "--tol" in captured.err
+        assert captured.out == ""
+
     def test_gen_corpus_without_pairs_is_config_error(self, small_config,
                                                       tmp_path, capsys):
         cfg_path = self._write_config(tmp_path / "c.json", small_config)

@@ -1,5 +1,6 @@
 """Pre-training losses: masking, the three heads, the weighted combination."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from dynaprompt.objectives import (
 from dynaprompt.optim import AdamW
 from dynaprompt.pools import PromptPools, surrogate_loss
 from tests.conftest import drop_caller_rows, make_batch
+from tests.golden import assert_golden
 
 
 def build(config, seed=0):
@@ -450,6 +452,23 @@ class TestCombinedLoss:
             runs.append(self._loss_and_grads(total, model, pools, heads))
         assert batch.size == 8 and len(runs[0][1]) == 58
         assert runs[0] == runs[1]
+
+    def test_desk_step_gradients_match_golden_digest(self, desk_config):
+        """The loss, every gradient and both usage vectors of one desk step
+        hash to the committed digest."""
+        model, pools, heads = build(desk_config)
+        self._randomize_heads(heads)
+        total, _, _ = combined_pretrain_loss(
+            desk_batch(desk_config), model, pools, heads, desk_config,
+            rng=np.random.default_rng(0))
+        loss, grads = self._loss_and_grads(total, model, pools, heads)
+        digest = hashlib.sha256(loss)
+        for name in sorted(grads):
+            digest.update(name.encode())
+            digest.update(b"-" if grads[name] is None else grads[name])
+        digest.update(pools.visual.usage.tobytes())
+        digest.update(pools.textual.usage.tobytes())
+        assert_golden("desk_step_gradients", digest.hexdigest())
 
     def _check_joint_reference(self, config, batch, corrupted, labels,
                                frozen=None, rng=None):

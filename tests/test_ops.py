@@ -1,10 +1,17 @@
 """Per-op contracts: worked examples against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
+import dynaprompt
+from dynaprompt.harness import batch_from_pairs, build_model, default_corpus
 from dynaprompt.ndtensor import (
     NumericError,
     ShapeError,
@@ -15,6 +22,7 @@ from dynaprompt.ndtensor import (
     run_op_suite,
 )
 from dynaprompt.ndtensor.gradcheck import OP_SUITE
+from dynaprompt.objectives import combined_pretrain_loss
 
 
 class TestMatmul:
@@ -181,3 +189,74 @@ class TestOpSuiteGradients:
     def test_suite_runner(self):
         passed, worst = run_op_suite(seeds=2)
         assert passed, worst
+
+
+class TestErf:
+    """``ops._erf`` equals scipy's Cephes ``erf`` bit for bit; scipy is the
+    oracle here and nowhere in the package."""
+
+    @staticmethod
+    def assert_bits_equal(x):
+        got, want = ops._erf(x), special.erf(x)
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, (
+            f"{bad.size} of {x.size} differ; first at x={x.flat[bad[0]]!r}: "
+            f"{got.flat[bad[0]]!r} != {want.flat[bad[0]]!r}")
+
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0])
+    def test_bit_equal_on_normals(self, scale):
+        # 7 scales x 1.5M draws: 10.5M inputs across both branches
+        x = np.random.default_rng(90).normal(size=1_500_000) * scale
+        self.assert_bits_equal(x)
+
+    def test_bit_equal_on_edge_values(self):
+        pos = [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(6.0, 0.0), 6.0,
+               8.0, 26.6, 1e200, 5e-324, np.inf]
+        x = np.array(pos + [-v for v in pos])
+        self.assert_bits_equal(x)
+        assert np.signbit(ops._erf(x))[len(pos)]  # erf(-0.0) is -0.0
+
+    def test_nan_gives_nan(self):
+        x = np.array([np.nan, 0.5, np.nan, 3.0, -np.nan])
+        out = ops._erf(x)
+        np.testing.assert_array_equal(np.isnan(out), np.isnan(x))
+        self.assert_bits_equal(x[[1, 3]])
+
+    def test_bit_equal_on_desk_step_gelu_inputs(self, desk_config,
+                                                monkeypatch):
+        seen = []
+        erf = ops._erf
+
+        def spy(x):
+            seen.append(x.copy())
+            return erf(x)
+
+        monkeypatch.setattr(ops, "_erf", spy)
+        model, pools, heads = build_model(desk_config)
+        batch = batch_from_pairs(
+            default_corpus(desk_config).pairs[:desk_config.batch_size],
+            desk_config, "image_text")
+        combined_pretrain_loss(batch, model, pools, heads, desk_config,
+                               rng=np.random.default_rng(0))
+        monkeypatch.undo()
+        assert seen
+        for x in seen:
+            self.assert_bits_equal(x)
+
+    def test_package_runs_without_scipy(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import dynaprompt, dynaprompt.harness, dynaprompt.cli\n"
+            "from dynaprompt.ndtensor import Tensor, backward, ops\n"
+            "x = Tensor(np.linspace(-8.0, 8.0, 101), requires_grad=True)\n"
+            "backward(ops.sum(ops.gelu(x)))\n"
+            "assert np.all(np.isfinite(x.grad))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+        src = Path(dynaprompt.__file__).resolve().parents[1]
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
