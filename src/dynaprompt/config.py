@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -27,6 +28,13 @@ FIRST_CONTENT_ID = 4
 
 class ConfigError(ValueError):
     """Invalid, inconsistent or unknown configuration."""
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass
@@ -92,6 +100,9 @@ class ModelConfig:
                   isinstance(value, number) and not isinstance(value, bool))
             if not ok:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            # JSON reads NaN and Infinity, and 1e999 as inf
+            if f.type == "float" and not _finite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         positive = [
             "d_text", "d_vision", "d_hidden", "n_heads", "vocab_size",
             "max_text_len", "patch_count", "patch_dim", "pool_size_v",

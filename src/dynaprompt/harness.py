@@ -86,16 +86,20 @@ def gather_state(model, pools, heads=None, head: TaskHead | None = None
 def restore_state(state: dict[str, np.ndarray], model, pools, heads=None,
                   head: TaskHead | None = None):
     """Load a snapshot back into live objects; geometry must match."""
-    for name, p in _named_tensors(model, pools, heads, head).items():
+    def stored(name, shape):
         if name not in state:
             raise ConfigError(f"checkpoint lacks tensor {name!r}")
         arr = state[name]
-        if arr.shape != p.data.shape:
+        if arr.shape != shape:
             raise ConfigError(f"checkpoint geometry mismatch for {name!r}: "
-                              f"{list(arr.shape)} vs {list(p.data.shape)}")
-        p.data[...] = arr
-    pools.visual.usage[...] = state["pools.visual.usage"].astype(np.int64)
-    pools.textual.usage[...] = state["pools.textual.usage"].astype(np.int64)
+                              f"{list(arr.shape)} vs {list(shape)}")
+        return arr
+
+    for name, p in _named_tensors(model, pools, heads, head).items():
+        p.data[...] = stored(name, p.data.shape)
+    for pool in (pools.visual, pools.textual):
+        usage = stored(f"pools.{pool.modality}.usage", pool.usage.shape)
+        pool.usage[...] = usage.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

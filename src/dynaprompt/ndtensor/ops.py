@@ -15,13 +15,17 @@ a chain of the ops here, with the same arithmetic in the same order, so they
 equal that chain bit for bit while keeping fewer arrays alive.
 ``linear_rows`` runs ``linear`` at some rows of a sequence and still equals
 it bit for bit there.
+
+A gradient rule closes over the arrays it reads, plain shapes and
+``requires_grad`` flags, never over an input tensor (see ``record_op``): an
+input whose value no rule reads is freed before backward reaches it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NumericError, ShapeError, Tensor, record_op
+from .tensor import NumericError, ShapeError, Tensor, grad_enabled, record_op
 
 __all__ = [
     "add", "sub", "mul", "div", "scale", "mul_const",
@@ -60,35 +64,40 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.sum(axis=tuple(range(extra)))
 
 
-def _binary(a, b, fwd, grad_a, grad_b) -> Tensor:
+def _binary(a, b, fwd, grad_a, grad_b, reads_data: bool) -> Tensor:
+    """``grad_a``/``grad_b`` get the operands' data only if ``reads_data``."""
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_shapes(a.shape, b.shape)
     out = Tensor(fwd(a.data, b.data))
+    x, y = (a.data, b.data) if reads_data else (None, None)
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        ga = _reduce_to(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None
-        gb = _reduce_to(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None
+        ga = _reduce_to(grad_a(g, x, y), sa) if ra else None
+        gb = _reduce_to(grad_b(g, x, y), sb) if rb else None
         return ga, gb
 
     return record_op(out, (a, b), grad_fn)
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g, False)
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g,
+                   False)
 
 
 def mul(a, b) -> Tensor:
     return _binary(a, b, np.multiply,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+                   lambda g, x, y: g * y, lambda g, x, y: g * x, True)
 
 
 def div(a, b) -> Tensor:
     return _binary(a, b, np.divide,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y),
+                   True)
 
 
 def scale(a, c: float) -> Tensor:
@@ -119,10 +128,11 @@ def pow_const(a, p: float) -> Tensor:
     p = float(p)
     if (p != int(p) or p < 1.0) and np.any(a.data <= 0.0):
         raise NumericError(f"pow_const(p={p}) needs strictly positive inputs")
-    out = Tensor(a.data ** p)
+    A = a.data
+    out = Tensor(A ** p)
 
     def grad_fn(g):
-        return (g * p * a.data ** (p - 1.0),)
+        return (g * p * A ** (p - 1.0),)
 
     return record_op(out, (a,), grad_fn)
 
@@ -154,18 +164,19 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul leading axes disagree: "
                          f"{list(a.shape)} x {list(b.shape)}")
     out = Tensor(np.matmul(A, B))
+    ra, rb = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
         if shared_weight:
-            ga = np.matmul(g, B.T) if a.requires_grad else None
-            if b.requires_grad:
+            ga = np.matmul(g, B.T) if ra else None
+            if rb:
                 k, n = B.shape
                 gb = np.matmul(A.reshape(-1, k).T, g.reshape(-1, n))
             else:
                 gb = None
         else:
-            ga = np.matmul(g, B.swapaxes(-1, -2)) if a.requires_grad else None
-            gb = np.matmul(A.swapaxes(-1, -2), g) if b.requires_grad else None
+            ga = np.matmul(g, B.swapaxes(-1, -2)) if ra else None
+            gb = np.matmul(A.swapaxes(-1, -2), g) if rb else None
         return ga, gb
 
     return record_op(out, (a, b), grad_fn)
@@ -187,20 +198,28 @@ def linear(x, w, b) -> Tensor:
     y = np.matmul(X, W)
     y += b.data
     out = Tensor(y)
-    return record_op(out, (x, w, b), lambda g: _linear_grads(x, w, b, X, g))
+    needs = _linear_needs(x, w, b)
+    return record_op(out, (x, w, b), lambda g: _linear_grads(W, X, g, needs))
 
 
-def _linear_grads(x, w, b, X, g):
-    """Gradients of ``X @ w + b`` for those of ``x``, ``w``, ``b`` that
-    require them, given the output gradient ``g``."""
-    W = w.data
-    gx = np.matmul(g, W.T) if x.requires_grad else None
-    if w.requires_grad:
+def _linear_needs(x, w, b):
+    """What ``_linear_grads`` reads of the inputs besides arrays: which of
+    ``x``, ``w``, ``b`` require a gradient, and the bias shape."""
+    return x.requires_grad, w.requires_grad, b.requires_grad, b.shape
+
+
+def _linear_grads(W, X, g, needs):
+    """Gradients of ``X @ W + b`` for those of ``x``, ``w``, ``b`` that
+    require them (``needs`` from ``_linear_needs``), given the output
+    gradient ``g``."""
+    rx, rw, rb, b_shape = needs
+    gx = np.matmul(g, W.T) if rx else None
+    if rw:
         k, n = W.shape
         gw = np.matmul(X.reshape(-1, k).T, g.reshape(-1, n))
     else:
         gw = None
-    gb = _reduce_to(g, b.shape) if b.requires_grad else None
+    gb = _reduce_to(g, b_shape) if rb else None
     return gx, gw, gb
 
 
@@ -233,15 +252,17 @@ def linear_rows(x, w, b, rows, length: int) -> Tensor:
     y = np.matmul(flat, W)[:n]
     y += b.data
     out = Tensor(y.reshape(bsz, rows.size, m))
+    needs = _linear_needs(x, w, b)
+    pad_x = pruned and w.requires_grad
 
     def grad_fn(g):
         full_g = np.zeros((bsz, length, m))
         full_g[:, rows] = g
         full_x = X
-        if pruned and w.requires_grad:
+        if pad_x:
             full_x = np.zeros((bsz, length, k))
             full_x[:, rows] = X
-        gx, gw, gb = _linear_grads(x, w, b, full_x, full_g)
+        gx, gw, gb = _linear_grads(W, full_x, full_g, needs)
         if pruned and gx is not None:
             gx = gx[:, rows]
         return gx, gw, gb
@@ -265,7 +286,8 @@ def reshape(a, shape) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"cannot reshape {list(a.shape)} into {list(shape)}")
     out = Tensor(a.data.reshape(shape))
-    return record_op(out, (a,), lambda g: (g.reshape(a.shape),))
+    in_shape = a.shape
+    return record_op(out, (a,), lambda g: (g.reshape(in_shape),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -283,11 +305,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     bounds = np.cumsum([0] + sizes)
+    needs = [t.requires_grad for t in tensors]
 
     def grad_fn(g):
         pieces = []
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
+        for i, needed in enumerate(needs):
+            if needed:
                 idx = [slice(None)] * nd
                 idx[axis] = slice(bounds[i], bounds[i + 1])
                 pieces.append(np.ascontiguousarray(g[tuple(idx)]))
@@ -308,9 +331,10 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     out = Tensor(np.ascontiguousarray(a.data[idx]))
+    in_shape = a.shape
 
     def grad_fn(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(in_shape)
         buf[idx] = g
         return (buf,)
 
@@ -330,9 +354,10 @@ def gather_rows(a, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError(f"gather index out of range [0, {a.shape[0]})")
     out = Tensor(a.data[idx])
+    in_shape = a.shape
 
     def grad_fn(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(in_shape)
         np.add.at(buf, idx, g)
         return (buf,)
 
@@ -354,12 +379,13 @@ def embedding_lookup(table, ids) -> Tensor:
 def sum(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     a = _as_tensor(a)
     out = Tensor(np.sum(a.data, axis=axis, keepdims=keepdims))
+    in_shape = a.shape
 
     def grad_fn(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, in_shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        return (np.broadcast_to(gg, in_shape).copy(),)
 
     return record_op(out, (a,), grad_fn)
 
@@ -417,7 +443,8 @@ def attention(q, k, v, mask_add, n_heads: int) -> Tensor:
 
     The values and gradients equal those of the composition of reshape,
     permute, matmul, scale, add and softmax bit for bit.  The node
-    keeps only what its backward reads: its inputs and the probabilities.
+    keeps only what its backward reads: its inputs' values and the
+    probabilities.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 \
@@ -431,6 +458,8 @@ def attention(q, k, v, mask_add, n_heads: int) -> Tensor:
         raise ShapeError(f"{n_heads} heads do not divide width {d}")
     hd = d // n_heads
     c = float(1.0 / np.sqrt(hd))
+    Q, K, V = q.data, k.data, v.data
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
     mask_add = np.asarray(mask_add, dtype=np.float64)
     scores_shape = (b, n_heads, lq, length)
     if np.broadcast_shapes(scores_shape, mask_add.shape) != scores_shape:
@@ -443,12 +472,12 @@ def attention(q, k, v, mask_add, n_heads: int) -> Tensor:
     # Each matmul operand has the layout the composition gives it, so the
     # BLAS calls, and with them every rounding, are the same.
     def keys_t():
-        return np.ascontiguousarray(heads(k.data, length).transpose(0, 1, 3, 2))
+        return np.ascontiguousarray(heads(K, length).transpose(0, 1, 3, 2))
 
     def values():
-        return np.ascontiguousarray(heads(v.data, length))
+        return np.ascontiguousarray(heads(V, length))
 
-    p = np.matmul(np.ascontiguousarray(heads(q.data, lq)), keys_t())
+    p = np.matmul(np.ascontiguousarray(heads(Q, lq)), keys_t())
     p *= c
     p += mask_add
     if not np.all(np.isfinite(p)):
@@ -462,19 +491,19 @@ def attention(q, k, v, mask_add, n_heads: int) -> Tensor:
     def grad_fn(g):
         gh = g.reshape(b, lq, n_heads, hd).transpose(0, 2, 1, 3)
         gq = gk = gv = None
-        if v.requires_grad:
+        if rv:
             gv = np.matmul(p.swapaxes(-1, -2), gh)
             gv = gv.transpose(0, 2, 1, 3).reshape(b, length, d)
-        if q.requires_grad or k.requires_grad:
+        if rq or rk:
             gs = np.matmul(gh, values().swapaxes(-1, -2))
             gs -= np.sum(gs * p, axis=-1, keepdims=True)
             gs *= p
             gs *= c
-            if q.requires_grad:
+            if rq:
                 gq = np.matmul(gs, keys_t().swapaxes(-1, -2))
                 gq = gq.transpose(0, 2, 1, 3).reshape(b, lq, d)
-            if k.requires_grad:
-                qh = np.ascontiguousarray(heads(q.data, lq))
+            if rk:
+                qh = np.ascontiguousarray(heads(Q, lq))
                 gk = np.matmul(qh.swapaxes(-1, -2), gs)
                 gk = gk.transpose(0, 3, 1, 2).reshape(b, length, d)
         return gq, gk, gv
@@ -527,14 +556,16 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = np.mean(y, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=y)
+    G = gain.data
+    np.multiply(xhat, G, out=y)
     y += bias.data
     out = Tensor(y)
+    rx, rg, rb = x.requires_grad, gain.requires_grad, bias.requires_grad
 
     def grad_fn(g):
         gx = None
-        if x.requires_grad:
-            dxhat = g * gain.data
+        if rx:
+            dxhat = g * G
             tmp = dxhat * xhat
             m2 = np.mean(tmp, axis=-1, keepdims=True)
             dxhat -= np.mean(dxhat, axis=-1, keepdims=True)
@@ -542,8 +573,8 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             dxhat -= tmp
             dxhat *= inv
             gx = dxhat
-        gg = (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None
-        gb = g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None
+        gg = (g * xhat).reshape(-1, d).sum(axis=0) if rg else None
+        gb = g.reshape(-1, d).sum(axis=0) if rb else None
         return gx, gg, gb
 
     return record_op(out, (x, gain, bias), grad_fn)
@@ -625,16 +656,22 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 def gelu(a) -> Tensor:
     """Exact Gaussian error linear unit, x * (1 + erf(x / sqrt 2)) / 2, with
-    ``_erf`` in numpy; its gradient uses ``np.exp`` for the density."""
+    ``_erf`` in numpy.
+
+    When the op is recorded, the forward also computes the derivative
+    cdf + x * pdf, with ``np.exp`` for the density, and the node keeps only
+    that array; its backward is one multiply.  Under ``no_grad``, or for an
+    input that needs no gradient, no derivative is computed.
+    """
     a = _as_tensor(a)
-    cdf = _erf(a.data * _INV_SQRT2)
+    A = a.data
+    cdf = _erf(A * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
-    out = Tensor(a.data * cdf)
-
-    def grad_fn(g):
-        pdf = np.exp(-0.5 * a.data * a.data)
-        pdf *= _INV_SQRT2PI
-        return (g * (cdf + a.data * pdf),)
-
-    return record_op(out, (a,), grad_fn)
+    out = Tensor(A * cdf)
+    if not (grad_enabled() and a.requires_grad):
+        return out
+    pdf = np.exp(-0.5 * A * A)
+    pdf *= _INV_SQRT2PI
+    d = cdf + A * pdf
+    return record_op(out, (a,), lambda g: (g * d,))

@@ -9,10 +9,16 @@ exactly one backward pass; the next recorded op starts a fresh one.
 Tensors produced on an already-consumed tape are treated as constants if they
 are fed into later computations: gradients never flow across tape boundaries.
 
-References run one way only: a tensor points at the node that produced it, a
-node at its inputs, never at its output.  Backward drops each node's inputs
-and gradient rule as it consumes them, so a step's activations are freed by
-reference counting as backward walks past them rather than waiting for the
+A node holds only what its gradient rule reads: the arrays the rule closes
+over, plain shapes and flags, and for each input the node that produced it
+(or, for a leaf, the leaf tensor itself).  It never holds an intermediate
+tensor, so an activation stays alive only while some rule reads it; the
+input of an ``add``, say, is freed once the forward is done with it, not
+when backward reaches the ``add``.  References run one way only: a
+tensor points at the node that produced it, a node at its inputs'
+producers, never at its output.  Backward drops each node's links and
+gradient rule as it consumes them, so whatever remains is freed by
+reference counting as backward walks past it rather than waiting for the
 cyclic garbage collector.  On glibc, importing this module also keeps freed
 heap memory in the process (see :func:`_retain_freed_heap`), so the next step
 reuses those pages instead of faulting fresh ones in.
@@ -78,9 +84,10 @@ class Tape:
 
 
 class TapeNode:
-    """One recorded op: its inputs, its gradient rule and, during backward,
-    the gradient pending for its output.  It holds no reference to that
-    output, so tensors and nodes never form a cycle."""
+    """One recorded op: per input its producing node (a leaf input is kept as
+    its tensor), its gradient rule and, during backward, the gradient
+    pending for its output.  It holds no reference to that output, so
+    tensors and nodes never form a cycle."""
 
     __slots__ = ("inputs", "grad_fn", "tape", "grad")
 
@@ -166,11 +173,15 @@ def record_op(out: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
 
     ``grad_fn(out_grad) -> [in_grad | None, ...]`` returns one gradient array
     per input, aligned positionally.  Recording happens only when gradients
-    are enabled and at least one input requires them.
+    are enabled and at least one input requires them.  ``grad_fn`` must close
+    over the arrays it reads, never over the input tensors: the node keeps
+    each input's producing node, so an intermediate tensor's value is freed
+    once no rule reads it.
     """
     if _grad_enabled and any(t.requires_grad for t in inputs):
         tape = active_tape()
-        node = TapeNode(inputs, grad_fn, tape)
+        links = tuple(t if t.tape_node is None else t.tape_node for t in inputs)
+        node = TapeNode(links, grad_fn, tape)
         tape.nodes.append(node)
         out.requires_grad = True
         out.tape_node = node
@@ -203,16 +214,15 @@ def backward(loss: Tensor):
         nd.grad = nd.inputs = nd.grad_fn = None
         if g is None:
             continue
-        for t, ig in zip(inputs, grad_fn(g)):
+        for src, ig in zip(inputs, grad_fn(g)):
             if ig is None:
                 continue
-            src = t.tape_node
-            if src is not None:
+            if type(src) is TapeNode:
                 if src.tape is tape:
                     src.grad = ig if src.grad is None else src.grad + ig
                 # else: produced on a consumed tape -> constant here
-            elif t.requires_grad:
-                t.grad = ig.copy() if t.grad is None else t.grad + ig
+            elif src.requires_grad:
+                src.grad = ig.copy() if src.grad is None else src.grad + ig
     tape.nodes.clear()
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ConfigError
-from .ndtensor import Tensor, flags, no_grad, ops
+from .ndtensor import Tensor, flags, grad_enabled, no_grad, ops
 
 __all__ = [
     "PromptPool", "PromptPools", "SelectionResult", "RoleTag",
@@ -150,8 +150,11 @@ def select_prompts(pool: PromptPool, queries: Tensor,
 
     Ties break toward the lowest index.  The similarity computation runs off
     the tape: gradients flow through :func:`surrogate_loss` and the gathered
-    values, never through the ranking itself.  Usage counters are updated,
-    and each zero-norm row raises the degenerate-cosine flag once.
+    values, never through the ranking itself.  Usage counters count training
+    selections only: they are updated when gradients are enabled and the
+    pool's keys train, so evaluation under ``no_grad`` and a frozen pool
+    leave them as they are.  Each zero-norm row raises the degenerate-cosine
+    flag once.
     """
     if n_sel > pool.pool_size:
         raise ConfigError(f"n_sel {n_sel} exceeds pool size {pool.pool_size}")
@@ -172,7 +175,8 @@ def select_prompts(pool: PromptPool, queries: Tensor,
         for _ in range(int(np.count_nonzero(~live))):
             flags.flag_degenerate_cosine()
         order = np.argsort(-sims, axis=1, kind="stable")[:, :n_sel]
-    np.add.at(pool.usage, order, 1)
+    if grad_enabled() and pool.keys.requires_grad:
+        np.add.at(pool.usage, order, 1)
     return SelectionResult(indices=order,
                            similarities=np.take_along_axis(sims, order, axis=1),
                            query=queries, pool=pool)

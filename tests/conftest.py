@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 # Thread-spawn overhead dominates BLAS at desk-scale shapes; must be set
 # before numpy's first import to take effect.
@@ -62,3 +63,14 @@ def drop_caller_rows(monkeypatch):
     monkeypatch.setattr(TransformerLayer, "forward",
                         lambda self, *a, rows=None, **k:
                         layer_forward(self, *a, **k))
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak of memory traced by ``tracemalloc`` (numpy's buffers included)
+    while ``fn()`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -2,13 +2,13 @@
 
 import csv
 import json
+import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from dynaprompt import encoder
+from dynaprompt import encoder, harness
 from dynaprompt.checkpoint import load_checkpoint, save_checkpoint
 from dynaprompt.cli import main as cli_main
 from dynaprompt.config import ModelConfig
@@ -28,6 +28,7 @@ from dynaprompt.harness import (
     run_pretrain,
 )
 from dynaprompt.ndtensor import no_grad
+from tests.conftest import traced_peak_mib
 
 
 @pytest.fixture
@@ -112,14 +113,10 @@ class TestRunFinetuneEval:
         head = _task_head(config, "pair_classify", model)
         ckpt = tmp_path / "pair.ckpt"
         save_checkpoint(ckpt, config, gather_state(model, pools, head=head))
-        tracemalloc.start()
-        try:
-            run_eval(config, corpus, ckpt, "pair_classify", tmp_path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak_mib(
+            lambda: run_eval(config, corpus, ckpt, "pair_classify", tmp_path))
         assert 2 * len(corpus) == 64
-        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak < 16, f"{peak:.1f} MiB"
 
     def test_pair_classify_eval_selects_once_per_pool_per_slice(
             self, tmp_path, monkeypatch):
@@ -141,6 +138,59 @@ class TestRunFinetuneEval:
         monkeypatch.setattr(encoder, "select_prompts", spy)
         run_eval(config, corpus, ckpt, "pair_classify", tmp_path)
         assert rows == [config.batch_size] * 16
+
+    @staticmethod
+    def _usage(path):
+        _, state = load_checkpoint(path)
+        return [state[f"pools.{m}.usage"] for m in ("visual", "textual")]
+
+    def test_eval_counts_no_usage(self, small_config, tmp_path, monkeypatch):
+        corpus = default_corpus(small_config)
+        ckpt, _ = run_pretrain(small_config, corpus, tmp_path)
+        fckpt, _ = run_finetune(small_config, corpus, ckpt, "pair_classify",
+                                tmp_path, steps=1)
+        restored = []
+        restore = harness.restore_state
+
+        def spy(state, model, pools, *args, **kwargs):
+            restore(state, model, pools, *args, **kwargs)
+            restored.append((pools, [pools.visual.usage.copy(),
+                                     pools.textual.usage.copy()]))
+
+        monkeypatch.setattr(harness, "restore_state", spy)
+        selections = []
+        select = encoder.select_prompts
+        monkeypatch.setattr(encoder, "select_prompts",
+                            lambda *a: selections.append(1) or select(*a))
+        run_eval(small_config, corpus, fckpt, "pair_classify", tmp_path)
+        (pools, loaded), = restored
+        assert selections and loaded[0].sum() > 0
+        np.testing.assert_array_equal(pools.visual.usage, loaded[0])
+        np.testing.assert_array_equal(pools.textual.usage, loaded[1])
+
+    def test_frozen_pool_finetune_saves_backbone_usage(self, small_config,
+                                                       tmp_path):
+        corpus = default_corpus(small_config)
+        ckpt, _ = run_pretrain(small_config, corpus, tmp_path / "pre")
+        frozen = ModelConfig.from_dict({**small_config.to_dict(),
+                                        "freeze_pools": True})
+        fckpt, _ = run_finetune(frozen, corpus, ckpt, "pair_classify",
+                                tmp_path / "ft", steps=3)
+        for before, after in zip(self._usage(ckpt), self._usage(fckpt)):
+            assert before.sum() > 0
+            np.testing.assert_array_equal(after, before)
+
+    def test_trainable_finetune_counts_usage(self, small_config, tmp_path):
+        corpus = default_corpus(small_config)
+        ckpt, _ = run_pretrain(small_config, corpus, tmp_path / "pre")
+        steps = 3
+        fckpt, _ = run_finetune(small_config, corpus, ckpt, "pair_classify",
+                                tmp_path / "ft", steps=steps)
+        # each step selects n_sel entries per pool for each of its rows:
+        # batch_size positives and as many rolled negatives
+        rows = 2 * small_config.batch_size
+        for before, after in zip(self._usage(ckpt), self._usage(fckpt)):
+            assert after.sum() - before.sum() == steps * rows * small_config.n_sel
 
     def test_eval_twice_identical_metrics(self, small_config, tmp_path):
         corpus = default_corpus(small_config)
@@ -288,6 +338,27 @@ class TestConfigTypes:
                                                 "lr": 1, "sigma": 0}))
         assert cfg.lr == 1 and cfg.sigma == 0
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", math.nan), ("lr", math.inf), ("weight_decay", math.nan),
+        ("temperature_init", math.nan), ("temperature_init", math.inf),
+        ("sigma", math.nan), ("beta", -math.inf), ("lambda", math.nan),
+        pytest.param("mask_rate", 10 ** 400, id="mask_rate-int-beyond-float")])
+    def test_non_finite_float_rejected(self, small_config, key, value):
+        from dynaprompt.config import ConfigError
+        field = "lambda_" if key == "lambda" else key
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            ModelConfig.from_dict({**small_config.to_dict(), key: value})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1e999"])
+    def test_non_finite_json_float_rejected(self, small_config, literal):
+        from dynaprompt.config import ConfigError
+        text = small_config.to_json().replace('"lr": 0.001',
+                                              f'"lr": {literal}')
+        assert literal in text
+        with pytest.raises(ConfigError, match="lr must be finite"):
+            ModelConfig.from_json(text)
+
 
 class TestCli:
     def _write_config(self, path, cfg):
@@ -338,6 +409,37 @@ class TestCli:
         assert code == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_nan_lr_in_config_exits_one_before_any_write(self, small_config,
+                                                         tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(small_config.to_json().replace('"lr": 0.001',
+                                                       '"lr": NaN'))
+        code = cli_main(["pretrain", "--config", str(path),
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("usage", ["missing", "length 3"])
+    def test_bad_usage_vector_in_checkpoint_exits_one(self, small_config,
+                                                      tmp_path, usage, capsys):
+        model, pools, _ = build_model(small_config)
+        state = gather_state(model, pools)
+        if usage == "missing":
+            del state["pools.visual.usage"]
+        else:
+            state["pools.visual.usage"] = np.zeros(3)
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, small_config, state)
+        cfg_path = self._write_config(tmp_path / "c.json", small_config)
+        out = tmp_path / "run"
+        code = cli_main(["finetune", "--config", cfg_path, "--out", str(out),
+                         "--checkpoint", str(ckpt), "--task", "vqa"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "pools.visual.usage" in err
+        assert not (out / "finetune_vqa.ckpt").exists()
 
     def test_negative_finetune_steps_exits_one(self, small_config, tmp_path,
                                                capsys):

@@ -18,6 +18,7 @@ from dynaprompt.ndtensor import (
     Tensor,
     backward,
     fd_check,
+    no_grad,
     ops,
     run_op_suite,
 )
@@ -189,6 +190,54 @@ class TestOpSuiteGradients:
     def test_suite_runner(self):
         passed, worst = run_op_suite(seeds=2)
         assert passed, worst
+
+
+class TestGelu:
+    """The node keeps gelu's derivative, computed in the forward only when
+    the op is recorded."""
+
+    class CountingNumpy:
+        """numpy, counting ``exp`` calls on real arrays: the density's."""
+
+        def __init__(self):
+            self.real_exp = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            self.real_exp += not np.iscomplexobj(x)
+            return np.exp(x, *args, **kwargs)
+
+    @staticmethod
+    def inputs():
+        return np.random.default_rng(4).normal(size=(5, 7)) * 3.0
+
+    def test_no_grad_records_nothing_and_computes_no_derivative(
+            self, monkeypatch):
+        counting = self.CountingNumpy()
+        monkeypatch.setattr(ops, "np", counting)
+        x = Tensor(self.inputs(), requires_grad=True)
+        with no_grad():
+            plain = ops.gelu(x)
+        constant = ops.gelu(Tensor(self.inputs()))
+        assert plain.tape_node is None and constant.tape_node is None
+        assert counting.real_exp == 0
+        taped = ops.gelu(x)
+        assert taped.tape_node is not None and counting.real_exp == 1
+        backward(ops.sum(taped))
+        assert counting.real_exp == 1  # backward is one multiply
+        assert plain.data.tobytes() == taped.data.tobytes()
+        assert constant.data.tobytes() == taped.data.tobytes()
+
+    def test_gradient_equals_density_formula_bit_for_bit(self):
+        a = self.inputs()
+        x = Tensor(a, requires_grad=True)
+        g = np.random.default_rng(5).normal(size=a.shape)
+        backward(ops.sum(ops.mul_const(ops.gelu(x), g)))
+        cdf = (ops._erf(a * (1.0 / np.sqrt(2.0))) + 1.0) * 0.5
+        pdf = np.exp(-0.5 * a * a) * (1.0 / np.sqrt(2.0 * np.pi))
+        assert x.grad.tobytes() == (g * (cdf + a * pdf)).tobytes()
 
 
 class TestErf:

@@ -177,6 +177,84 @@ class TestTapeLifetime:
         assert np.array_equal(x.grad, reference)
 
 
+# Per op: the shapes of its tensor inputs, a call on them, and for each input
+# whether its gradient rule reads the value, so the tape keeps it alive.
+# None marks an output that is a view of its input: the output itself keeps
+# that buffer, whatever the node holds.
+RETENTION = {
+    "add": ([(3, 4), (4,)], lambda a, b: ops.add(a, b), (False, False)),
+    "sub": ([(3, 4), (3, 4)], lambda a, b: ops.sub(a, b), (False, False)),
+    "mul": ([(3, 4), (3, 4)], lambda a, b: ops.mul(a, b), (True, True)),
+    "div": ([(3, 4), (4,)], lambda a, b: ops.div(a, b), (True, True)),
+    "scale": ([(3, 4)], lambda a: ops.scale(a, 2.0), (False,)),
+    "mul_const": ([(3, 4)], lambda a: ops.mul_const(a, np.arange(4.0)),
+                  (False,)),
+    "pow_const": ([(3, 4)], lambda a: ops.pow_const(a, 3.0), (True,)),
+    "sqrt": ([(3, 4)], ops.sqrt, (True,)),
+    "matmul": ([(2, 3, 4), (4, 5)], ops.matmul, (True, True)),
+    "linear": ([(2, 3, 4), (4, 5), (5,)], ops.linear, (True, True, False)),
+    "linear_rows": ([(2, 6, 4), (4, 5), (5,)],
+                    lambda x, w, b: ops.linear_rows(x, w, b, [0, 3], 6),
+                    (True, True, False)),
+    "permute": ([(2, 3, 4)], lambda a: ops.permute(a, (2, 0, 1)), (False,)),
+    "reshape": ([(3, 4)], lambda a: ops.reshape(a, (4, 3)), (None,)),
+    "concat": ([(2, 3), (2, 5)], lambda a, b: ops.concat([a, b], axis=1),
+               (False, False)),
+    "slice_axis": ([(3, 4)], lambda a: ops.slice_axis(a, 1, 1, 3), (False,)),
+    "gather_rows": ([(5, 3)], lambda a: ops.gather_rows(a, [[4, 0], [4, 2]]),
+                    (False,)),
+    "embedding_lookup": ([(5, 3)],
+                         lambda t: ops.embedding_lookup(t, [1, 1, 3]),
+                         (False,)),
+    "sum": ([(3, 4)], lambda a: ops.sum(a, axis=1), (False,)),
+    "mean": ([(3, 4)], lambda a: ops.mean(a, axis=0), (False,)),
+    "rowwise_scale": ([(2, 3, 4), (2, 3)], ops.rowwise_scale, (False, True)),
+    "softmax": ([(3, 4)], ops.softmax, (False,)),
+    "attention": ([(2, 3, 4), (2, 5, 4), (2, 5, 4)],
+                  lambda q, k, v: ops.attention(q, k, v, np.zeros(5), 2),
+                  (True, True, True)),
+    "cross_entropy": ([(3, 4)], lambda z: ops.cross_entropy(z, [0, 3, 1]),
+                      (True,)),
+    "layernorm": ([(3, 4), (4,), (4,)], ops.layernorm, (False, True, False)),
+    "gelu": ([(3, 4)], ops.gelu, (False,)),
+}
+
+
+class TestSavedTensors:
+    """A node keeps the values its gradient rule reads and links to its
+    inputs' producers; an intermediate value no rule reads is freed."""
+
+    def test_table_covers_every_op(self):
+        assert sorted(RETENTION) == sorted(ops.__all__)
+
+    @pytest.mark.parametrize("name", sorted(RETENTION))
+    def test_node_keeps_only_what_its_rule_reads(self, name):
+        shapes, call, reads = RETENTION[name]
+        rng = np.random.default_rng(0)
+        leaves = [Tensor(rng.uniform(0.5, 1.5, size=s), requires_grad=True)
+                  for s in shapes]
+        inputs = [ops.scale(t, 1.0) for t in leaves]  # fresh non-leaf values
+        refs = [weakref.ref(t.data) for t in inputs]
+        out = call(*inputs)
+        del inputs
+        alive = tuple(r() is not None for r in refs)
+        backward(ops.sum(out))
+        for i, kept in enumerate(reads):
+            if kept is not None:
+                assert alive[i] == kept, (
+                    f"{name} input {i}: {'kept' if alive[i] else 'freed'}")
+        # the links still route every gradient to the leaves
+        assert all(t.grad is not None for t in leaves)
+
+    def test_node_links_producers_and_leaves(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        h = ops.scale(x, 2.0)
+        y = ops.add(h, x)
+        assert y.tape_node.inputs == (h.tape_node, x)
+        backward(ops.sum(y))
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
+
+
 class TestFdCheck:
     def test_bilinear_analytic(self):
         x = Tensor(2.0, requires_grad=True)
