@@ -155,7 +155,8 @@ class TaskHead:
         if task in CLASSIFY_KIND:
             if not label_space or label_space < 1:
                 raise ConfigError(f"{task} needs a positive label_space")
-            d_in = 2 * h if CLASSIFY_KIND[task] == "image_text" else h
+            cls_rows = sequence_layout(CLASSIFY_KIND[task], config).cls_rows()
+            d_in = len(cls_rows) * h
             self.params["w"] = Tensor(np.zeros((d_in, label_space)),
                                       requires_grad=True)
             self.params["b"] = Tensor(np.zeros(label_space), requires_grad=True)
@@ -221,12 +222,10 @@ def _classify_logits(model, pools, batch: UnifiedBatch, head: TaskHead) -> Tenso
                           f"got {batch.kind!r}")
     rows = sequence_layout(kind, model.config).cls_rows()
     encoded, _ = _encode(model, pools, batch, rows)
-    if kind == "image_text":
-        feats = ops.concat([encoded.cls_visual, encoded.cls_textual], axis=1)
-    elif kind == "image_only":
-        feats = encoded.cls_visual
-    else:
-        feats = encoded.cls_textual
+    # the [CLS] states the layout has, in layout order
+    feats = [s for s in (encoded.cls_visual, encoded.cls_textual)
+             if s is not None]
+    feats = feats[0] if len(feats) == 1 else ops.concat(feats, axis=1)
     return ops.linear(feats, head.params["w"], head.params["b"])
 
 

@@ -1,22 +1,21 @@
 """Modality embedding, prompt-based input unification, shared transformer stack.
 
 Any input kind is assembled into one token sequence in the shared hidden
-space:
-
-    image_only : [CLS_v] | patches           | textual-pool prompts
-    text_only  : visual-pool prompts          | [CLS_t] | text tokens
-    image_text : [CLS_v] | patches | visual-pool prompts |
-                 textual-pool prompts | [CLS_t] | text tokens
-
-Single-modality inputs borrow prompts from the contrary pool (selected via a
-cross-modal query projection) so the encoder always sees both kinds of
-context; paired inputs take same-modality prompts.  A pass makes one
+space.  ``SEGMENTS`` lists each kind's segments in sequence order, and the
+layout, batch validation and assembly all read it.  ``prompts_v`` and
+``prompts_t`` hold the visual and the textual pool's selected prompts.  One
+rule covers every prompt segment: its pool is queried by its own modality's
+tokens when the batch has them, else by the other modality's, carried into
+the pool's key space by a cross-modal query projection; the block carries
+the role tag of the modality that queried and is projected into the hidden
+space by its pool's modality.  So single-modality inputs borrow prompts from
+the contrary pool, and the encoder always sees both kinds of context;
+paired inputs take same-modality prompts.  A pass makes one
 ``select_prompts`` call per pool over a [B, D] query block, and its one
 record holds every item's [B, n_sel] selection.  Selection ranks the
 queries' values off the tape, so the queries and their projections are
 recorded only when the caller asks for them (``pull``), as pre-training's
-paired pass does for the pool pull loss.  Role embeddings tag each
-prompt block with the context it serves.  The encoder itself is a pre-norm
+paired pass does for the pool pull loss.  The encoder itself is a pre-norm
 multi-head self-attention stack; masked positions receive a large negative
 attention logit whose probability underflows to exactly zero, so they cannot
 influence any visible output.
@@ -46,7 +45,6 @@ from .config import ConfigError, ModelConfig, PAD_ID
 from .ndtensor import (NumericError, ShapeError, Tensor, grad_enabled,
                        no_grad, ops)
 from .pools import (
-    IntegrityError,
     PromptPools,
     RoleTag,
     SelectionResult,
@@ -56,10 +54,23 @@ from .pools import (
     select_prompts,
 )
 
-__all__ = ["UnifiedBatch", "EncodedBatch", "SequenceLayout", "KVCache",
-           "VisionLanguageModel", "sequence_layout", "assembled_attention_mask"]
+__all__ = ["SEGMENTS", "UnifiedBatch", "EncodedBatch", "SequenceLayout",
+           "KVCache", "VisionLanguageModel", "sequence_layout",
+           "assembled_attention_mask"]
 
-KINDS = ("image_only", "text_only", "image_text")
+# Each input kind's segments, in sequence order (see the module doc).
+SEGMENTS = {
+    "image_only": ("cls_v", "patches", "prompts_t"),
+    "text_only": ("prompts_v", "cls_t", "text"),
+    "image_text": ("cls_v", "patches", "prompts_v", "prompts_t", "cls_t",
+                   "text"),
+}
+# The modality of each segment; a prompt segment's is its pool's.
+_MODALITY = {"cls_v": "visual", "patches": "visual", "prompts_v": "visual",
+             "prompts_t": "textual", "cls_t": "textual", "text": "textual"}
+_OTHER = {"visual": "textual", "textual": "visual"}
+# The role tag of a prompt block, by the modality whose tokens queried it.
+_ROLE = {"visual": RoleTag.VISUAL_CONTEXT, "textual": RoleTag.TEXTUAL_CONTEXT}
 
 # Finite stand-in for -inf: exp(x - rowmax) underflows to exactly 0.0 for
 # masked keys while fully-padded query rows still produce finite softmax rows.
@@ -77,14 +88,14 @@ class UnifiedBatch:
     patch_features: np.ndarray | None = None     # f64 [B, L_v, patch_dim]
 
     def validate(self, config: ModelConfig):
-        if self.kind not in KINDS:
+        if self.kind not in SEGMENTS:
             raise ConfigError(f"unknown batch kind {self.kind!r}")
-        needs_text = self.kind in ("text_only", "image_text")
-        needs_image = self.kind in ("image_only", "image_text")
-        if needs_text != (self.token_ids is not None):
-            raise ConfigError(f"kind {self.kind!r} and token_ids presence disagree")
-        if needs_image != (self.patch_features is not None):
-            raise ConfigError(f"kind {self.kind!r} and patch_features presence disagree")
+        for name, segment in (("token_ids", "text"),
+                              ("patch_features", "patches")):
+            if ((segment in SEGMENTS[self.kind])
+                    != (getattr(self, name) is not None)):
+                raise ConfigError(f"kind {self.kind!r} and {name} presence "
+                                  "disagree")
         if self.token_ids is not None:
             if self.token_ids.ndim != 2 or self.token_ids.shape[1] != config.max_text_len:
                 raise ShapeError(f"token_ids must be [B, {config.max_text_len}], "
@@ -137,27 +148,20 @@ class SequenceLayout:
 
 
 def sequence_layout(kind: str, config: ModelConfig) -> SequenceLayout:
-    n_pv = config.n_sel * config.prompt_len_v
-    n_pt = config.n_sel * config.prompt_len_t
-    lv, lt = config.patch_count, config.max_text_len
-    if kind == "image_only":
-        return SequenceLayout(kind, 1 + lv + n_pt, cls_v=0,
-                              patches=slice(1, 1 + lv),
-                              prompts_t=slice(1 + lv, 1 + lv + n_pt))
-    if kind == "text_only":
-        return SequenceLayout(kind, n_pv + 1 + lt,
-                              prompts_v=slice(0, n_pv), cls_t=n_pv,
-                              text=slice(n_pv + 1, n_pv + 1 + lt))
-    if kind == "image_text":
-        base = 1 + lv
-        return SequenceLayout(kind, base + n_pv + n_pt + 1 + lt, cls_v=0,
-                              patches=slice(1, base),
-                              prompts_v=slice(base, base + n_pv),
-                              prompts_t=slice(base + n_pv, base + n_pv + n_pt),
-                              cls_t=base + n_pv + n_pt,
-                              text=slice(base + n_pv + n_pt + 1,
-                                         base + n_pv + n_pt + 1 + lt))
-    raise ConfigError(f"unknown batch kind {kind!r}")
+    """The layout of ``kind``'s segments, placed end to end in table order."""
+    if kind not in SEGMENTS:
+        raise ConfigError(f"unknown batch kind {kind!r}")
+    c = config
+    lengths = {"cls_v": 1, "patches": c.patch_count,
+               "prompts_v": c.n_sel * c.prompt_len_v,
+               "prompts_t": c.n_sel * c.prompt_len_t,
+               "cls_t": 1, "text": c.max_text_len}
+    spans, start = {}, 0
+    for name in SEGMENTS[kind]:
+        stop = start + lengths[name]
+        spans[name] = start if name in ("cls_v", "cls_t") else slice(start, stop)
+        start = stop
+    return SequenceLayout(kind, start, **spans)
 
 
 def assembled_attention_mask(layout: SequenceLayout, batch_size: int,
@@ -281,9 +285,9 @@ class UnifyResult:
     states: Tensor                         # [B, L, d_hidden]
     mask: np.ndarray                       # bool [B, L]
     layout: SequenceLayout
-    selections_v: SelectionResult | None   # [B, n_sel], visual pool
-    selections_t: SelectionResult | None   # [B, n_sel], textual pool
-    prompt_tokens: Tensor | None = None    # projected prompt block(s)
+    # pool name -> its [B, n_sel] record, in sequence order
+    selections: dict[str, SelectionResult]
+    prompt_tokens: Tensor | None = None    # projected prompts of a textless batch
 
 
 class VisionLanguageModel:
@@ -396,82 +400,64 @@ class VisionLanguageModel:
         batch.validate(self.config)
         c = self.config
         layout = sequence_layout(batch.kind, c)
+        segments = SEGMENTS[batch.kind]
         b = batch.size
         ov = select_override or {}
-        selections_v = selections_t = None
-        segments: list[Tensor] = []
 
-        def select(pool, queries, key):
-            pinned = ov.get(key)
+        def select(pool, queries):
+            pinned = ov.get(pool.modality)
             if pinned is None:
                 return select_prompts(pool, queries, c.n_sel)
-            return SelectionResult(np.asarray(pinned), np.zeros(np.shape(pinned)),
-                                   queries, pool)
+            pinned = np.asarray(pinned)
+            if pinned.shape != (b, c.n_sel):
+                raise ShapeError(f"pinned {pool.modality} selection must be "
+                                 f"[{b}, {c.n_sel}], got {list(pinned.shape)}")
+            return SelectionResult(pinned, np.zeros(pinned.shape), queries,
+                                   pool)
 
-        text_emb = None
-        patch_emb = None
+        emb, valid = {}, {}  # by modality
         if batch.token_ids is not None:
-            text_emb = self.embed_text(batch.token_ids)
-            text_valid = batch.token_ids != PAD_ID
+            emb["textual"] = self.embed_text(batch.token_ids)
+            valid["textual"] = batch.token_ids != PAD_ID
         if batch.patch_features is not None:
-            patch_emb = self.embed_patches(batch.patch_features)
+            emb["visual"] = self.embed_patches(batch.patch_features)
+        to_hidden = {"visual": (self.vis_to_hidden_w, self.vis_to_hidden_b),
+                     "textual": (self.text_to_hidden_w, self.text_to_hidden_b)}
 
-        # selection ranks the queries' values; only the pull loss reads
-        # them on the tape
+        # the module doc's prompt rule; selection ranks the queries' values,
+        # and only the pull loss reads them on the tape
+        prompt_segments = [s for s in segments if s.startswith("prompts")]
+        queried_by, queries = {}, {}
         with contextlib.nullcontext() if pull else no_grad():
-            if batch.kind == "image_only":
-                tq = cross_query(query_fn(patch_emb), pools.vis_to_txt)
-            elif batch.kind == "text_only":
-                vq = cross_query(query_fn(text_emb, text_valid),
-                                 pools.txt_to_vis)
-            else:
-                vq = query_fn(patch_emb)
-                tq = query_fn(text_emb, text_valid)
+            for pool in (_MODALITY[s] for s in prompt_segments):
+                by = pool if pool in emb else _OTHER[pool]
+                q = query_fn(emb[by], valid.get(by))
+                if by != pool:
+                    q = cross_query(q, pools.vis_to_txt if pool == "textual"
+                                    else pools.txt_to_vis)
+                queried_by[pool], queries[pool] = by, q
 
+        selections: dict[str, SelectionResult] = {}
+        parts: list[Tensor] = []
         prompt_tokens = None
-        if batch.kind == "image_only":
-            # contrary-pool prompts serve the visual context
-            selections_t = select(pools.textual, tq, "textual")
-            prompt_tokens = self._prompt_segment(
-                selections_t, RoleTag.VISUAL_CONTEXT,
-                self.text_to_hidden_w, self.text_to_hidden_b)
-            segments.append(self._cls_segment(self.cls_v, b))
-            segments.append(ops.linear(patch_emb, self.vis_to_hidden_w,
-                                       self.vis_to_hidden_b))
-            segments.append(prompt_tokens)
-        elif batch.kind == "text_only":
-            selections_v = select(pools.visual, vq, "visual")
-            segments.append(self._prompt_segment(
-                selections_v, RoleTag.TEXTUAL_CONTEXT,
-                self.vis_to_hidden_w, self.vis_to_hidden_b))
-            segments.append(self._cls_segment(self.cls_t, b))
-            segments.append(ops.linear(text_emb, self.text_to_hidden_w,
-                                       self.text_to_hidden_b))
-        else:  # image_text: same-modality prompts on both sides
-            selections_v = select(pools.visual, vq, "visual")
-            selections_t = select(pools.textual, tq, "textual")
-            segments.append(self._cls_segment(self.cls_v, b))
-            segments.append(ops.linear(patch_emb, self.vis_to_hidden_w,
-                                       self.vis_to_hidden_b))
-            segments.append(self._prompt_segment(
-                selections_v, RoleTag.VISUAL_CONTEXT,
-                self.vis_to_hidden_w, self.vis_to_hidden_b))
-            segments.append(self._prompt_segment(
-                selections_t, RoleTag.TEXTUAL_CONTEXT,
-                self.text_to_hidden_w, self.text_to_hidden_b))
-            segments.append(self._cls_segment(self.cls_t, b))
-            segments.append(ops.linear(text_emb, self.text_to_hidden_w,
-                                       self.text_to_hidden_b))
+        for name in segments:
+            modality = _MODALITY[name]
+            if name in ("cls_v", "cls_t"):
+                parts.append(self._cls_segment(getattr(self, name), b))
+            elif name in prompt_segments:
+                sel = select(getattr(pools, modality), queries[modality])
+                selections[modality] = sel
+                parts.append(self._prompt_segment(
+                    sel, _ROLE[queried_by[modality]], *to_hidden[modality]))
+                if "text" not in segments:  # the caption prefix reads it
+                    prompt_tokens = parts[-1]
+            else:
+                parts.append(ops.linear(emb[modality], *to_hidden[modality]))
 
-        states = ops.concat(segments, axis=1)
-        if states.shape[1] != layout.total_len:
-            raise IntegrityError(f"assembled length {states.shape[1]} != "
-                                 f"layout length {layout.total_len}")
+        states = ops.concat(parts, axis=1)
         mask = assembled_attention_mask(layout, b, batch.token_ids)
         return UnifyResult(states=states, mask=mask, layout=layout,
-                           selections_v=selections_v,
-                           selections_t=selections_t,
-                           prompt_tokens=prompt_tokens)
+                           selections=selections, prompt_tokens=prompt_tokens)
 
     # -- encoder --------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from .bleu import bleu
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig, PAD_ID
 from .corpus import CorpusSpec, SyntheticCorpus, gen_corpus
-from .encoder import UnifiedBatch, VisionLanguageModel
+from .encoder import SEGMENTS, UnifiedBatch, VisionLanguageModel
 from .ndtensor import Tensor, no_grad
 from .objectives import PretrainHeads, PretrainLossReport, pretrain_step
 from .optim import AdamW
@@ -83,22 +83,24 @@ def gather_state(model, pools, heads=None, head: TaskHead | None = None
     return state
 
 
+def _stored(state: dict[str, np.ndarray], name: str, shape) -> np.ndarray:
+    """``state[name]``, which must exist with shape ``shape``."""
+    if name not in state:
+        raise ConfigError(f"checkpoint lacks tensor {name!r}")
+    arr = state[name]
+    if arr.shape != shape:
+        raise ConfigError(f"checkpoint geometry mismatch for {name!r}: "
+                          f"{list(arr.shape)} vs {list(shape)}")
+    return arr
+
+
 def restore_state(state: dict[str, np.ndarray], model, pools, heads=None,
                   head: TaskHead | None = None):
     """Load a snapshot back into live objects; geometry must match."""
-    def stored(name, shape):
-        if name not in state:
-            raise ConfigError(f"checkpoint lacks tensor {name!r}")
-        arr = state[name]
-        if arr.shape != shape:
-            raise ConfigError(f"checkpoint geometry mismatch for {name!r}: "
-                              f"{list(arr.shape)} vs {list(shape)}")
-        return arr
-
     for name, p in _named_tensors(model, pools, heads, head).items():
-        p.data[...] = stored(name, p.data.shape)
+        p.data[...] = _stored(state, name, p.data.shape)
     for pool in (pools.visual, pools.textual):
-        usage = stored(f"pools.{pool.modality}.usage", pool.usage.shape)
+        usage = _stored(state, f"pools.{pool.modality}.usage", pool.usage.shape)
         pool.usage[...] = usage.astype(np.int64)
 
 
@@ -115,9 +117,10 @@ def _pad_tokens(pairs, config) -> np.ndarray:
 
 
 def batch_from_pairs(pairs, config: ModelConfig, kind: str) -> UnifiedBatch:
-    token_ids = _pad_tokens(pairs, config) if kind != "image_only" else None
+    segments = SEGMENTS.get(kind, ())
+    token_ids = _pad_tokens(pairs, config) if "text" in segments else None
     patches = (np.stack([p.patches for p in pairs])
-               if kind != "text_only" else None)
+               if "patches" in segments else None)
     return UnifiedBatch(kind=kind, token_ids=token_ids, patch_features=patches)
 
 
@@ -410,9 +413,13 @@ def inspect_pool(checkpoint_path, out_dir) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     config, state = load_checkpoint(checkpoint_path)
     written = []
-    for modality in ("visual", "textual"):
-        keys = state[f"pools.{modality}.keys"]
-        usage = state[f"pools.{modality}.usage"].astype(np.int64)
+    for modality, size, dim in (
+            ("visual", config.pool_size_v, config.d_vision),
+            ("textual", config.pool_size_t, config.d_text)):
+        # the stored config fixes each pool tensor's shape
+        keys = _stored(state, f"pools.{modality}.keys", (size, dim))
+        usage = _stored(state, f"pools.{modality}.usage",
+                        (size,)).astype(np.int64)
         unit = keys / np.linalg.norm(keys, axis=1, keepdims=True)
         cosine = unit @ unit.T
 

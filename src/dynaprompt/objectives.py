@@ -223,9 +223,7 @@ def _derange(batch: UnifiedBatch) -> UnifiedBatch:
 def _capture(unified, key, captured):
     if captured is not None:
         captured.overrides[key] = {
-            name: sel.indices for name, sel in
-            (("visual", unified.selections_v), ("textual", unified.selections_t))
-            if sel is not None}
+            name: sel.indices for name, sel in unified.selections.items()}
 
 
 def combined_pretrain_loss(batch: UnifiedBatch, model: VisionLanguageModel,
@@ -289,8 +287,7 @@ def combined_pretrain_loss(batch: UnifiedBatch, model: VisionLanguageModel,
     # pull loss over the paired pass's same-modality selections
     enc_pos, uni_pos = run("itm_pos", batch, pair.cls_rows(), pull=True)
     enc_neg, _ = run("itm_neg", _derange(batch), pair.cls_rows())
-    l_p = surrogate_loss([uni_pos.selections_v, uni_pos.selections_t],
-                         batch_size=b)
+    l_p = surrogate_loss(list(uni_pos.selections.values()), batch_size=b)
     cls_v = ops.concat([enc_pos.cls_visual, enc_neg.cls_visual], axis=0)
     cls_t = ops.concat([enc_pos.cls_textual, enc_neg.cls_textual], axis=0)
     itm_labels = np.concatenate([np.ones(b, dtype=np.int64),

@@ -2,22 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynaprompt.adaptation import CaptionDecoder
 from dynaprompt.config import PAD_ID, ConfigError, ModelConfig
 from dynaprompt.encoder import (
+    SEGMENTS,
     KVCache,
     TransformerLayer,
     UnifiedBatch,
     VisionLanguageModel,
     _computed_rows,
     _take_rows,
+    assembled_attention_mask,
     sequence_layout,
 )
-from dynaprompt.ndtensor import Tensor, backward, fd_check, no_grad, ops
+from dynaprompt.ndtensor import (ShapeError, Tensor, backward, fd_check,
+                                 no_grad, ops)
 from dynaprompt.ndtensor.tensor import active_tape
 from dynaprompt.pools import PromptPools
 from tests.conftest import make_batch
+
+KINDS = ("image_only", "text_only", "image_text")
 
 
 def build(config, seed=0):
@@ -82,48 +89,93 @@ class TestEmbedPatches:
 
 
 class TestUnifyLayout:
-    def test_text_only_length_rule(self):
-        # text 6, two prompts of len 3 -> 6 + 6 + 1
-        config = ModelConfig(max_text_len=6, n_sel=2, prompt_len_v=3)
-        assert sequence_layout("text_only", config).total_len == 6 + 6 + 1
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(patch_count=st.integers(1, 6), max_text_len=st.integers(1, 6),
+           n_sel=st.integers(1, 3), prompt_len_v=st.integers(1, 4),
+           prompt_len_t=st.integers(1, 4),
+           n_real=st.lists(st.integers(0, 6), min_size=3, max_size=3))
+    # the geometries the old per-kind length rules pinned: 6 + 6 + 1 for
+    # text_only, 4 + 2 + 1 for image_only
+    @example(patch_count=16, max_text_len=6, n_sel=2, prompt_len_v=3,
+             prompt_len_t=4, n_real=[0, 2, 6])
+    @example(patch_count=4, max_text_len=16, n_sel=1, prompt_len_v=4,
+             prompt_len_t=2, n_real=[0, 2, 6])
+    def test_segments_tile_the_sequence(self, kind, patch_count, max_text_len,
+                                        n_sel, prompt_len_v, prompt_len_t,
+                                        n_real):
+        config = ModelConfig(patch_count=patch_count,
+                             max_text_len=max_text_len, n_sel=n_sel,
+                             prompt_len_v=prompt_len_v,
+                             prompt_len_t=prompt_len_t)
+        lay = sequence_layout(kind, config)
+        want = {"cls_v": 1, "patches": patch_count,
+                "prompts_v": n_sel * prompt_len_v,
+                "prompts_t": n_sel * prompt_len_t, "cls_t": 1,
+                "text": max_text_len}
+        start = 0
+        for name in SEGMENTS[kind]:
+            span = getattr(lay, name)
+            if isinstance(span, int):
+                span = slice(span, span + 1)
+            assert (span.start, span.stop) == (start, start + want[name]), name
+            start = span.stop
+        assert lay.total_len == start
+        absent = set(want) - set(SEGMENTS[kind])
+        assert all(getattr(lay, name) is None for name in absent)
 
-    def test_image_only_length_rule(self):
-        # patches 4, one prompt of len 2 -> 4 + 2 + 1
-        config = ModelConfig(patch_count=4, n_sel=1, prompt_len_t=2,
-                             pool_size_v=8, pool_size_t=8)
-        assert sequence_layout("image_only", config).total_len == 4 + 2 + 1
+        # three items with n_real content tokens each, then padding
+        token_ids = np.zeros((3, max_text_len), dtype=np.int64)
+        for row, n in zip(token_ids, n_real):
+            row[:n] = 5
+        mask = assembled_attention_mask(lay, 3, token_ids)
+        want_mask = np.ones((3, lay.total_len), dtype=bool)
+        if lay.text is not None:
+            for row, n in zip(want_mask, n_real):
+                row[lay.text.start + min(n, max_text_len):lay.text.stop] = False
+        np.testing.assert_array_equal(mask, want_mask)
 
-    def test_image_text_matches_concat_oracle(self, tiny_config):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_concat_oracle(self, tiny_config, kind):
         model, pools = build(tiny_config)
         rng = np.random.default_rng(4)
-        batch = make_batch(tiny_config, "image_text", 2, rng)
+        batch = make_batch(tiny_config, kind, 2, rng)
         unified = model.unify_inputs(batch, pools)
-        c = tiny_config
-        lay = unified.layout
 
         # oracle: rebuild each segment independently and concatenate
-        text_emb = model.embed_text(batch.token_ids).data
-        patch_emb = model.embed_patches(batch.patch_features).data
-        t2h = text_emb @ model.text_to_hidden_w.data + model.text_to_hidden_b.data
-        v2h = patch_emb @ model.vis_to_hidden_w.data + model.vis_to_hidden_b.data
+        def hidden(x, to_text):
+            if to_text:
+                return (x @ model.text_to_hidden_w.data
+                        + model.text_to_hidden_b.data)
+            return x @ model.vis_to_hidden_w.data + model.vis_to_hidden_b.data
+
+        def prompts(pool, item, role):
+            idx = unified.selections[pool.modality].indices[item]
+            tok = (pool.values.data[idx].reshape(-1, pool.key_dim)
+                   + pool.role_embeddings[role].data)
+            return hidden(tok, pool is pools.textual)
+
+        vis, txt = "as_visual_context", "as_textual_context"
+        cls_v, cls_t = model.cls_v.data[None, :], model.cls_t.data[None, :]
         pieces = []
         for b in range(2):
-            sv = unified.selections_v.indices[b]
-            st = unified.selections_t.indices[b]
-            pv = (pools.visual.values.data[sv].reshape(-1, c.d_vision)
-                  + pools.visual.role_embeddings["as_visual_context"].data)
-            pt = (pools.textual.values.data[st].reshape(-1, c.d_text)
-                  + pools.textual.role_embeddings["as_textual_context"].data)
-            pv = pv @ model.vis_to_hidden_w.data + model.vis_to_hidden_b.data
-            pt = pt @ model.text_to_hidden_w.data + model.text_to_hidden_b.data
-            seq = np.concatenate([
-                model.cls_v.data[None, :], v2h[b], pv, pt,
-                model.cls_t.data[None, :], t2h[b]], axis=0)
-            pieces.append(seq)
+            if kind != "text_only":
+                patches = hidden(
+                    model.embed_patches(batch.patch_features).data[b], False)
+            if kind != "image_only":
+                text = hidden(model.embed_text(batch.token_ids).data[b], True)
+            if kind == "image_only":  # textual pool serving the image
+                seq = [cls_v, patches, prompts(pools.textual, b, vis)]
+            elif kind == "text_only":  # visual pool serving the text
+                seq = [prompts(pools.visual, b, txt), cls_t, text]
+            else:
+                seq = [cls_v, patches, prompts(pools.visual, b, vis),
+                       prompts(pools.textual, b, txt), cls_t, text]
+            pieces.append(np.concatenate(seq, axis=0))
         oracle = np.stack(pieces)
         assert oracle.shape == unified.states.shape
         np.testing.assert_allclose(unified.states.data, oracle, atol=1e-12)
-        assert lay.total_len == oracle.shape[1]
+        assert unified.layout.total_len == oracle.shape[1]
 
     def test_kind_field_inconsistency_rejected(self, tiny_config):
         model, pools = build(tiny_config)
@@ -159,8 +211,8 @@ class TestModelQueries:
                 want_v, want_t = text_q @ pools.txt_to_vis.data, []
             else:
                 want_v, want_t = patch_q, text_q
-            for sels, want in ((unified.selections_v, want_v),
-                               (unified.selections_t, want_t)):
+            for sels, want in ((unified.selections.get("visual"), want_v),
+                               (unified.selections.get("textual"), want_t)):
                 rows = [] if sels is None else sels.query.data
                 assert len(rows) == len(want)
                 for row, q in zip(rows, want):
@@ -172,13 +224,25 @@ class TestModelQueries:
         batch = make_batch(tiny_config, kind, 2, np.random.default_rng(16))
         for pull in (False, True):
             unified = model.unify_inputs(batch, pools, pull=pull)
-            queries = [s.query for s in (unified.selections_v,
-                                         unified.selections_t)
-                       if s is not None]
+            queries = [s.query for s in unified.selections.values()]
             assert sum(len(q.data) for q in queries) == (
                 4 if kind == "image_text" else 2)
             assert all((q.tape_node is not None) == pull for q in queries)
             assert unified.states.tape_node is not None
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 1), (3, 2), (1, 2), (2,)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_pinned_selection_of_wrong_shape_rejected(self, tiny_config,
+                                                      shape):
+        # a pinned record must be [B, n_sel] = [2, 2]
+        model, pools = build(tiny_config)
+        batch = make_batch(tiny_config, "image_text", 2,
+                           np.random.default_rng(17))
+        pinned = np.arange(np.prod(shape)).reshape(shape)
+        with pytest.raises(ShapeError, match=r"pinned visual selection must "
+                           r"be \[2, 2\], got"):
+            model.unify_inputs(batch, pools,
+                               select_override={"visual": pinned})
 
     def test_text_item_without_real_tokens_rejected(self, tiny_config):
         model, pools = build(tiny_config)
@@ -501,10 +565,8 @@ class TestEncoderProperties:
         batch = make_batch(tiny_config, "image_text", 2, rng, text_len=4)
 
         probe = model.unify_inputs(batch, pools)
-        override = {
-            "visual": probe.selections_v.indices,
-            "textual": probe.selections_t.indices,
-        }
+        override = {name: sel.indices
+                    for name, sel in probe.selections.items()}
         wsum = np.random.default_rng(14).normal(
             size=(2, tiny_config.d_hidden))
 

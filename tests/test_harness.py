@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,27 @@ class TestInspectPool:
             rows = list(csv.reader(fh))[1:]
         for i, row in enumerate(rows):
             assert float(row[1 + i]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name,damage,match", [
+        ("pools.visual.usage", None, "lacks tensor 'pools.visual.usage'"),
+        ("pools.textual.keys", None, "lacks tensor 'pools.textual.keys'"),
+        ("pools.visual.keys", lambda keys: keys[:, :3],
+         r"geometry mismatch for 'pools.visual.keys': \[8, 3\] vs \[8, 8\]"),
+    ], ids=["no_visual_usage", "no_textual_keys", "narrow_visual_keys"])
+    def test_damaged_pool_tensor_is_config_error(self, tiny_config, tmp_path,
+                                                 capsys, name, damage, match):
+        state = gather_state(*build_model(tiny_config))
+        if damage is None:
+            del state[name]
+        else:
+            state[name] = damage(state[name])
+        ckpt = tmp_path / "damaged.ckpt"
+        save_checkpoint(ckpt, tiny_config, state)
+        assert cli_main(["inspect-pool", "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "pools")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert re.search(match, err), err
 
 
 class TestConfigTypes:

@@ -70,8 +70,7 @@ def joint_reference_loss(batch, model, pools, heads, config, corrupted, labels,
     enc_txt, _ = run("itc_t", UnifiedBatch(
         "text_only", token_ids=batch.token_ids), text.cls_rows())
     l_itc = itc_loss(enc_img.cls_visual, enc_txt.cls_textual, heads.temperature)
-    l_p = surrogate_loss([uni_pos.selections_v, uni_pos.selections_t],
-                         batch_size=b)
+    l_p = surrogate_loss(list(uni_pos.selections.values()), batch_size=b)
     total = ops.add(l_mlm, ops.add(ops.scale(l_itm, config.sigma),
                                    ops.add(ops.scale(l_itc, config.lambda_),
                                            ops.scale(l_p, config.beta))))
