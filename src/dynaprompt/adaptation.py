@@ -8,15 +8,18 @@ stack without cross-attention: encoder image states concatenated with the
 selected textual prompt tokens form its prefix.
 
 Classification, retrieval and the caption prefix get their encoder states
-from ``_encode``.  Under a recording tape it is one ``model.forward`` call,
-so a training pass sums its weight gradients as one batch.  With no tape it
-runs ``model.forward`` over consecutive slices of at most
-``config.batch_size`` items and concatenates the rows each slice keeps, so
-evaluating a corpus holds one training batch's activations at a time.  The
-bits hold because every encoder op computes each item apart.  The heads
-then run once over all rows: a 2-D product's row results depend on its row
-count, so a head applied per slice would change bits.  Caption decoding runs
-slice by slice as well, since the decoder also computes each item apart.
+from ``_encode``, at only the rows they read: classification and retrieval
+their [CLS] rows, side by side through one reshape (``_cls_features``), the
+caption prefix [CLS_v] and the patches.  Under a recording tape ``_encode``
+is one ``model.forward`` call, so a training pass sums its weight gradients
+as one batch.  With no tape it runs ``model.forward`` over consecutive
+slices of at most ``config.batch_size`` items and concatenates the rows
+each slice keeps, so evaluating a corpus holds one training batch's
+activations at a time.  The bits hold because every encoder op computes
+each item apart.  The heads then run once over all rows: a 2-D product's
+row results depend on its row count, so a head applied per slice would
+change bits.  Caption decoding runs slice by slice as well, since the
+decoder also computes each item apart.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BOS_ID, EOS_ID, PAD_ID, ConfigError, ModelConfig
-from .encoder import (EncodedBatch, KVCache, TransformerLayer, UnifiedBatch,
+from .encoder import (KVCache, TransformerLayer, UnifiedBatch,
                       VisionLanguageModel, sequence_layout)
 from .ndtensor import ShapeError, Tensor, backward, grad_enabled, no_grad, ops
 from .objectives import itc_loss
@@ -186,26 +189,33 @@ def _batch_slice(batch: UnifiedBatch, start: int, stop: int) -> UnifiedBatch:
 
 
 def _encode(model, pools, batch: UnifiedBatch, rows: tuple[slice, ...]
-            ) -> tuple[EncodedBatch, Tensor | None]:
-    """The encoder states at ``rows`` and the projected prompt block (None
-    unless the batch is image_only): one ``model.forward`` call under a
-    tape, else one per slice of at most ``config.batch_size`` items (see
-    the module doc)."""
+            ) -> tuple[Tensor, Tensor | None]:
+    """The encoder states [B, R, d_hidden] at ``rows`` and the projected
+    prompt block (None unless the batch is image_only): one
+    ``model.forward`` call under a tape, else one per slice of at most
+    ``config.batch_size`` items (see the module doc)."""
     step = model.config.batch_size
     if grad_enabled() or batch.size <= step:
-        encoded, unified = model.forward(batch, pools, rows=rows)
-        return encoded, unified.prompt_tokens
+        states, unified = model.forward(batch, pools, rows=rows)
+        return states, unified.prompt_tokens
     # keep only what callers read, so each slice's activations are freed
     kept = []
     for start in range(0, batch.size, step):
-        encoded, unified = model.forward(
+        states, unified = model.forward(
             _batch_slice(batch, start, start + step), pools, rows=rows)
-        kept.append((encoded.token_states, encoded.cls_visual,
-                     encoded.cls_textual, unified.prompt_tokens))
-    token_states, cls_v, cls_t, prompts = (
+        kept.append((states, unified.prompt_tokens))
+    states, prompts = (
         None if parts[0] is None else ops.concat(list(parts), axis=0)
         for parts in zip(*kept))
-    return EncodedBatch(token_states, cls_v, cls_t), prompts
+    return states, prompts
+
+
+def _cls_features(model, pools, batch: UnifiedBatch) -> Tensor:
+    """The [CLS] state(s) of ``batch``'s kind, side by side in layout order:
+    [B, n_cls * d_hidden]."""
+    rows = sequence_layout(batch.kind, model.config).cls_rows()
+    states, _ = _encode(model, pools, batch, rows)
+    return ops.reshape(states, (batch.size, len(rows) * model.config.d_hidden))
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +230,8 @@ def _classify_logits(model, pools, batch: UnifiedBatch, head: TaskHead) -> Tenso
     if batch.kind != kind:
         raise ConfigError(f"task {head.task!r} needs {kind!r} batches, "
                           f"got {batch.kind!r}")
-    rows = sequence_layout(kind, model.config).cls_rows()
-    encoded, _ = _encode(model, pools, batch, rows)
-    # the [CLS] states the layout has, in layout order
-    feats = [s for s in (encoded.cls_visual, encoded.cls_textual)
-             if s is not None]
-    feats = feats[0] if len(feats) == 1 else ops.concat(feats, axis=1)
-    return ops.linear(feats, head.params["w"], head.params["b"])
+    return ops.linear(_cls_features(model, pools, batch), head.params["w"],
+                      head.params["b"])
 
 
 def classify(model: VisionLanguageModel, pools: PromptPools,
@@ -291,13 +296,10 @@ def retrieval_rank(image_reps: np.ndarray, text_reps: np.ndarray,
 def encode_retrieval_reps(model, pools, image_batch: UnifiedBatch,
                           text_batch: UnifiedBatch, head: TaskHead
                           ) -> tuple[Tensor, Tensor]:
-    def cls_rows(batch):
-        return sequence_layout(batch.kind, model.config).cls_rows()
-
-    enc_v, _ = _encode(model, pools, image_batch, cls_rows(image_batch))
-    enc_t, _ = _encode(model, pools, text_batch, cls_rows(text_batch))
-    return (ops.matmul(enc_v.cls_visual, head.params["proj_v"]),
-            ops.matmul(enc_t.cls_textual, head.params["proj_t"]))
+    return (ops.matmul(_cls_features(model, pools, image_batch),
+                       head.params["proj_v"]),
+            ops.matmul(_cls_features(model, pools, text_batch),
+                       head.params["proj_t"]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +309,8 @@ def encode_retrieval_reps(model, pools, image_batch: UnifiedBatch,
 def _image_prefix(model, pools, batch: UnifiedBatch):
     """Encoder image states ([CLS_v] + patches) plus raw prompt tokens."""
     image_stop = sequence_layout(batch.kind, model.config).patches.stop
-    encoded, prompt_tokens = _encode(model, pools, batch,
-                                     (slice(0, image_stop),))
-    image_states = ops.slice_axis(encoded.token_states, 1, 0, image_stop)
+    image_states, prompt_tokens = _encode(model, pools, batch,
+                                          (slice(0, image_stop),))
     return ops.concat([image_states, prompt_tokens], axis=1)
 
 
@@ -388,7 +389,7 @@ def finetune_loss(model, pools, head: TaskHead, tbatch, config: ModelConfig) -> 
     if head.task == "retrieval":
         image_batch, text_batch = tbatch
         v, t = encode_retrieval_reps(model, pools, image_batch, text_batch, head)
-        return itc_loss(v, t, config.temperature_init)
+        return itc_loss(v, t, Tensor(config.temperature_init))
     if head.task == "generation":
         return caption_loss(model, pools, head.decoder, tbatch)
     raise ConfigError(f"unknown task {head.task!r}")

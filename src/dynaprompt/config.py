@@ -1,8 +1,9 @@
 """Model configuration: every dimension, pool size, loss weight and schedule knob.
 
 The JSON config file maps 1:1 onto :class:`ModelConfig` fields (the loss
-weight ``lambda`` maps to the attribute ``lambda_``).  Unknown keys are hard
-errors so a typo can never silently fall back to a default.
+weight ``lambda`` maps to the attribute ``lambda_``, and only ``lambda``
+names it in JSON).  Unknown keys are hard errors so a typo can never
+silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -149,13 +150,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        fields = {f.name for f in dataclasses.fields(cls)}
+        # JSON key -> field: a field with an alias has no other key
+        names = {f.name: f.name for f in dataclasses.fields(cls)}
+        for key, name in cls._JSON_ALIASES.items():
+            names[key] = names.pop(name)
         kwargs = {}
         for key, value in raw.items():
-            name = cls._JSON_ALIASES.get(key, key)
-            if name not in fields:
+            if key not in names:
                 raise ConfigError(f"unknown config key: {key!r}")
-            kwargs[name] = value
+            kwargs[names[key]] = value
         try:
             return cls(**kwargs)
         except TypeError as exc:

@@ -4,7 +4,8 @@ Each latent concept injects a fixed patch motif (a large activation at a
 concept-specific (patch, channel) slot) into the image and a fixed token
 trigram into the text, so every pair's modalities share its concepts and all
 cross-modal objectives are learnable.  The injection is invertible: concepts
-can be re-extracted from a patch grid by thresholding the motif slots.
+can be re-extracted from a patch grid by thresholding the motif slots at
+``MOTIF_GAIN / 2`` (``extract_concepts`` in ``tests/test_corpus.py``).
 
 Pair ``i`` is generated from its own seed (``seed ^ i``), so generation is
 order-independent and bit-reproducible.
@@ -20,7 +21,7 @@ import numpy as np
 from .config import FIRST_CONTENT_ID, ConfigError, ModelConfig
 
 __all__ = ["CorpusSpec", "CorpusPair", "SyntheticCorpus", "gen_corpus",
-           "concept_ngram", "concept_slot", "extract_concepts"]
+           "concept_ngram", "concept_slot"]
 
 MOTIF_GAIN = 4.0
 NOISE_SCALE = 0.25
@@ -125,16 +126,6 @@ def gen_corpus(spec: CorpusSpec, seed: int) -> SyntheticCorpus:
                                 answer_label=concepts[-1],
                                 class_label=concepts[0], concepts=concepts))
     return SyntheticCorpus(spec=spec, seed=seed, pairs=pairs)
-
-
-def extract_concepts(patches: np.ndarray, spec: CorpusSpec) -> set[int]:
-    """Inverse of the motif injection: which concepts mark this patch grid."""
-    found = set()
-    for c in range(spec.n_concepts):
-        slot, chan = concept_slot(c, spec)
-        if patches[slot, chan] > MOTIF_GAIN / 2.0:
-            found.add(c)
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,19 @@ multi-head self-attention stack; masked positions receive a large negative
 attention logit whose probability underflows to exactly zero, so they cannot
 influence any visible output.
 
-Callers name the positions whose final states they read (``rows``), and the
-last layer computes only those.  When no tape is recording, it computes its
-queries, attention output and feed-forward block at those rows; its keys and
-values still cover every position, so each kept row equals the full pass's
-row up to float rounding.  Under a recording tape, attention still runs at
-every position, because score products over fewer query rows round
-differently; the output projection, residuals, second layer norm and
-feed-forward block run at the kept rows.  Their backward
-(``ops.linear_rows``) sums the weight gradients over every position, with
-zeros at the rows left out, so training's gradients equal a full pass's bit
-for bit.
+Callers name the positions whose final states they read (``rows``), the
+last layer computes only those, and ``forward`` returns them in the order
+named, side by side: a classification head reads its [CLS] rows through one
+reshape, the masked-token head its text rows as they come.  When no tape is
+recording, the last layer computes its queries, attention output and
+feed-forward block at those rows; its keys and values still cover every
+position, so each kept row equals the full pass's row up to float
+rounding.  Under a recording tape, attention still runs at every position,
+because score products over fewer query rows round differently; the output
+projection, residuals, second layer norm and feed-forward block run at the
+kept rows.  Their backward (``ops.linear_rows``) sums the weight gradients
+over every position, with zeros at the rows left out, so training's
+gradients equal a full pass's bit for bit.
 """
 
 from __future__ import annotations
@@ -54,9 +56,8 @@ from .pools import (
     select_prompts,
 )
 
-__all__ = ["SEGMENTS", "UnifiedBatch", "EncodedBatch", "SequenceLayout",
-           "KVCache", "VisionLanguageModel", "sequence_layout",
-           "assembled_attention_mask"]
+__all__ = ["SEGMENTS", "UnifiedBatch", "SequenceLayout", "KVCache",
+           "VisionLanguageModel", "sequence_layout", "assembled_attention_mask"]
 
 # Each input kind's segments, in sequence order (see the module doc).
 SEGMENTS = {
@@ -112,20 +113,6 @@ class UnifiedBatch:
     def size(self) -> int:
         ref = self.token_ids if self.token_ids is not None else self.patch_features
         return ref.shape[0]
-
-
-@dataclass
-class EncodedBatch:
-    """Encoder output: token states plus the per-modality summary states.
-
-    ``token_states`` holds every position, or, after a pass that was given
-    ``rows``, only those rows in the order given; a [CLS] state outside the
-    rows kept is None.
-    """
-
-    token_states: Tensor                 # [B, L or rows kept, d_hidden]
-    cls_visual: Tensor | None = None     # [B, d_hidden]
-    cls_textual: Tensor | None = None    # [B, d_hidden]
 
 
 @dataclass
@@ -482,26 +469,11 @@ class VisionLanguageModel:
 
     def forward(self, batch: UnifiedBatch, pools: PromptPools,
                 select_override=None, rows: tuple[slice, ...] | None = None,
-                pull: bool = False) -> tuple[EncodedBatch, UnifyResult]:
-        """Unify and encode ``batch``.  ``rows`` names the assembled
-        positions whose final states the caller reads (None: all); ``pull``
-        keeps the selection queries on the tape (see ``unify_inputs``)."""
+                pull: bool = False) -> tuple[Tensor, UnifyResult]:
+        """Unify and encode ``batch``.  Returns the final states at the
+        assembled positions ``rows`` names, in order, as [B, R, d_hidden]
+        (every position when ``rows`` is None), and the unified input;
+        ``pull`` keeps the selection queries on the tape (see
+        ``unify_inputs``)."""
         unified = self.unify_inputs(batch, pools, select_override, pull)
-        token_states = self.encode(unified.states, unified.mask, rows)
-        layout = unified.layout
-        kept = (range(layout.total_len)
-                if token_states.shape[1] == layout.total_len
-                else np.r_[rows].tolist())
-
-        def pick(pos):
-            if pos not in kept:
-                return None
-            i = kept.index(pos)
-            sl = ops.slice_axis(token_states, 1, i, i + 1)
-            return ops.reshape(sl, (batch.size, self.config.d_hidden))
-
-        encoded = EncodedBatch(token_states=token_states,
-                               cls_visual=pick(layout.cls_v),
-                               cls_textual=pick(layout.cls_t))
-        return encoded, unified
-
+        return self.encode(unified.states, unified.mask, rows), unified

@@ -20,6 +20,10 @@ reverse of the order in which one backward over all five passes would
 consume them, so every leaf gradient sums its contributions in the same
 order and the gradients equal that joint backward's bit for bit.  Only the
 paired pass records its selection queries, for the pull loss.
+
+Each pass returns only the rows its objective reads: the contrastive passes
+their one [CLS] row, the matching passes their [CLS_v] and [CLS_t] rows side
+by side, the masked-text pass its text rows.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FIRST_CONTENT_ID, MASK_ID, ModelConfig
-from .encoder import (EncodedBatch, UnifiedBatch, VisionLanguageModel,
-                      sequence_layout)
+from .encoder import UnifiedBatch, VisionLanguageModel, sequence_layout
 from .ndtensor import NumericError, ShapeError, Tensor, backward, no_grad, ops
 from .optim import AdamW
 from .pools import PromptPools, surrogate_loss
@@ -129,13 +132,12 @@ def apply_mlm_masking(token_ids: np.ndarray, mask_rate: float,
 # individual losses
 # ---------------------------------------------------------------------------
 
-def mlm_loss(encoded: EncodedBatch, mlm_labels: np.ndarray, heads: PretrainHeads,
-             text_start: int) -> tuple[Tensor, int]:
+def mlm_loss(text_states: Tensor, mlm_labels: np.ndarray,
+             heads: PretrainHeads) -> tuple[Tensor, int]:
     """Mean cross-entropy of the masked-token head over labeled positions.
 
-    The text starts at position ``text_start`` of the encoded sequence;
-    ``encoded.token_states`` holds every position or only the text rows.
-    Returns (loss, labeled_count); a batch with nothing masked contributes a
+    ``text_states`` [B, L_t, d_hidden] are the encoder's text rows.  Returns
+    (loss, labeled_count); a batch with nothing masked contributes a
     constant zero with count zero (skip semantics).
     """
     labels = np.asarray(mlm_labels)
@@ -144,40 +146,34 @@ def mlm_loss(encoded: EncodedBatch, mlm_labels: np.ndarray, heads: PretrainHeads
     picked = np.nonzero(flat_labels >= 0)[0]
     if picked.size == 0:
         return Tensor(0.0), 0
-    states = encoded.token_states
-    h = states.shape[-1]
-    text_states = (states if states.shape[1] == lt else
-                   ops.slice_axis(states, 1, text_start, text_start + lt))
-    flat = ops.reshape(text_states, (b * lt, h))
+    flat = ops.reshape(text_states, (b * lt, text_states.shape[-1]))
     selected = ops.gather_rows(flat, picked)
     logits = ops.linear(selected, heads.mlm_w, heads.mlm_b)
     return ops.cross_entropy(logits, flat_labels[picked]), int(picked.size)
 
 
-def itm_loss(cls_visual: Tensor, cls_textual: Tensor, labels: np.ndarray,
+def itm_loss(cls_pairs: Tensor, labels: np.ndarray,
              heads: PretrainHeads) -> Tensor:
-    """2-way softmax match head on concatenated [CLS] pairs."""
+    """2-way softmax match head on [CLS] pairs: ``cls_pairs`` [N, 2, d_hidden]
+    holds each pair's [CLS_v] and [CLS_t] rows, side by side."""
     labels = np.asarray(labels)
     if np.any((labels != 0) & (labels != 1)):
         raise ValueError("itm labels must be 0/1")
-    pair = ops.concat([cls_visual, cls_textual], axis=1)
+    n, _, h = cls_pairs.shape
+    pair = ops.reshape(cls_pairs, (n, 2 * h))
     logits = ops.linear(pair, heads.itm_w, heads.itm_b)
     return ops.cross_entropy(logits, labels)
 
 
-def itc_loss(visual_reps: Tensor, textual_reps: Tensor, temperature) -> Tensor:
+def itc_loss(visual_reps: Tensor, textual_reps: Tensor,
+             temperature: Tensor) -> Tensor:
     """Symmetric contrastive loss over the temperature-scaled cosine matrix.
 
     Both directions cross-entropy against the diagonal pairing, averaged.
     """
-    if isinstance(temperature, Tensor):
-        if float(temperature.data) <= 0.0:
-            raise ValueError("temperature must be positive")
-        inv_t = ops.pow_const(temperature, -1.0)
-    else:
-        if temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        inv_t = Tensor(1.0 / float(temperature))
+    if float(temperature.data) <= 0.0:
+        raise ValueError("temperature must be positive")
+    inv_t = ops.pow_const(temperature, -1.0)
     if visual_reps.shape != textual_reps.shape:
         raise ShapeError(f"rep shapes disagree: {list(visual_reps.shape)} vs "
                          f"{list(textual_reps.shape)}")
@@ -262,45 +258,45 @@ def combined_pretrain_loss(batch: UnifiedBatch, model: VisionLanguageModel,
         captured.mlm_labels = labels
 
     def run(key, ubatch, rows, pull=False):
-        enc, uni = model.forward(ubatch, pools, select_override=(
+        states, uni = model.forward(ubatch, pools, select_override=(
             frozen.overrides.get(key) if frozen is not None else None),
             rows=rows, pull=pull)
         _capture(uni, key, captured)
-        return enc, uni
+        return states, uni
 
     # each pass's last layer computes only the rows its objective reads
     pair, image, text = (sequence_layout(kind, config) for kind in
                          ("image_text", "image_only", "text_only"))
 
     # contrastive group: single-modality passes -> contrastive alignment
-    enc_img, _ = run("itc_v", UnifiedBatch(kind="image_only",
+    cls_img, _ = run("itc_v", UnifiedBatch(kind="image_only",
                                            patch_features=batch.patch_features),
                      image.cls_rows())
-    enc_txt, _ = run("itc_t", UnifiedBatch(kind="text_only",
+    cls_txt, _ = run("itc_t", UnifiedBatch(kind="text_only",
                                            token_ids=batch.token_ids),
                      text.cls_rows())
-    l_itc = itc_loss(enc_img.cls_visual, enc_txt.cls_textual, heads.temperature)
+    h = config.d_hidden
+    l_itc = itc_loss(ops.reshape(cls_img, (b, h)), ops.reshape(cls_txt, (b, h)),
+                     heads.temperature)
     w_itc = ops.scale(l_itc, config.lambda_)
     backward(w_itc)
 
     # matching group: paired and deranged passes -> matching, and the pool
     # pull loss over the paired pass's same-modality selections
-    enc_pos, uni_pos = run("itm_pos", batch, pair.cls_rows(), pull=True)
-    enc_neg, _ = run("itm_neg", _derange(batch), pair.cls_rows())
+    cls_pos, uni_pos = run("itm_pos", batch, pair.cls_rows(), pull=True)
+    cls_neg, _ = run("itm_neg", _derange(batch), pair.cls_rows())
     l_p = surrogate_loss(list(uni_pos.selections.values()), batch_size=b)
-    cls_v = ops.concat([enc_pos.cls_visual, enc_neg.cls_visual], axis=0)
-    cls_t = ops.concat([enc_pos.cls_textual, enc_neg.cls_textual], axis=0)
     itm_labels = np.concatenate([np.ones(b, dtype=np.int64),
                                  np.zeros(b, dtype=np.int64)])
-    l_itm = itm_loss(cls_v, cls_t, itm_labels, heads)
+    l_itm = itm_loss(ops.concat([cls_pos, cls_neg], axis=0), itm_labels, heads)
     w_itm, w_p = ops.scale(l_itm, config.sigma), ops.scale(l_p, config.beta)
     backward(ops.add(w_itm, w_p))
 
     # masked-text pass -> token prediction
     masked_batch = UnifiedBatch(kind="image_text", token_ids=corrupted,
                                 patch_features=batch.patch_features)
-    enc_mlm, _ = run("mlm", masked_batch, (pair.text,))
-    l_mlm, masked_count = mlm_loss(enc_mlm, labels, heads, pair.text.start)
+    text_states, _ = run("mlm", masked_batch, (pair.text,))
+    l_mlm, masked_count = mlm_loss(text_states, labels, heads)
     backward(l_mlm)
 
     # a constant, summed in the association the metrics CSV records

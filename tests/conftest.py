@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from dynaprompt.config import ModelConfig
-from dynaprompt.encoder import TransformerLayer, UnifiedBatch, VisionLanguageModel
+from dynaprompt.encoder import (TransformerLayer, UnifiedBatch,
+                                VisionLanguageModel, _take_rows)
 from dynaprompt.pools import PromptPools
 
 
@@ -55,11 +56,15 @@ def pools_factory():
 
 
 def drop_caller_rows(monkeypatch):
-    """Make every encoder and layer forward ignore the rows its caller
-    names, so each pass computes every position."""
+    """Make every encoder and layer forward compute every position; the
+    encoder then takes the rows its caller names from the full states."""
     forward, layer_forward = VisionLanguageModel.forward, TransformerLayer.forward
-    monkeypatch.setattr(VisionLanguageModel, "forward",
-                        lambda self, *a, rows=None, **k: forward(self, *a, **k))
+
+    def full_forward(self, *a, rows=None, **k):
+        states, unified = forward(self, *a, **k)
+        return (states if rows is None else _take_rows(states, rows)), unified
+
+    monkeypatch.setattr(VisionLanguageModel, "forward", full_forward)
     monkeypatch.setattr(TransformerLayer, "forward",
                         lambda self, *a, rows=None, **k:
                         layer_forward(self, *a, **k))

@@ -69,9 +69,10 @@ class TestClassify:
         batch = make_batch(tiny_config, "image_text", 3, rng)
         probs = classify(model, pools, batch, head)
 
-        encoded, _ = model.forward(batch, pools)
-        feats = np.concatenate([encoded.cls_visual.data,
-                                encoded.cls_textual.data], axis=1)
+        states, unified = model.forward(batch, pools)
+        lay = unified.layout
+        feats = np.concatenate([states.data[:, lay.cls_v],
+                                states.data[:, lay.cls_t]], axis=1)
         logits = feats @ head.params["w"].data + head.params["b"].data
         for b in range(3):
             assert np.argmax(probs.data[b]) == max(

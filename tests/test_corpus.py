@@ -7,13 +7,23 @@ import pytest
 
 from dynaprompt.config import ConfigError
 from dynaprompt.corpus import (
+    MOTIF_GAIN,
     CorpusSpec,
     concept_ngram,
     concept_slot,
     corpus_to_json,
-    extract_concepts,
     gen_corpus,
 )
+
+
+def extract_concepts(patches: np.ndarray, spec: CorpusSpec) -> set[int]:
+    """Inverse of the motif injection: which concepts mark this patch grid."""
+    found = set()
+    for c in range(spec.n_concepts):
+        slot, chan = concept_slot(c, spec)
+        if patches[slot, chan] > MOTIF_GAIN / 2.0:
+            found.add(c)
+    return found
 
 
 class TestGenCorpus:

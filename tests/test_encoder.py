@@ -353,27 +353,34 @@ class TestLastLayerRows:
             full, _ = model.forward(batch, pools)
             for name, rows in _row_sets(kind, config).items():
                 kept, _ = model.forward(batch, pools, rows=rows)
-                want = full.token_states.data[:, np.r_[rows]]
-                assert kept.token_states.shape == want.shape, name
+                want = full.data[:, np.r_[rows]]
+                assert kept.shape == want.shape, name
                 # single-row products may take another BLAS kernel
-                np.testing.assert_allclose(kept.token_states.data, want,
+                np.testing.assert_allclose(kept.data, want,
                                            rtol=0, atol=1e-12, err_msg=name)
-                for attr in ("cls_visual", "cls_textual"):
-                    got, ref = getattr(kept, attr), getattr(full, attr)
-                    if got is not None:
-                        np.testing.assert_allclose(got.data, ref.data,
-                                                   rtol=0, atol=1e-12)
 
-    def test_cls_rows_yield_every_summary_state(self, tiny_config):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_forward_returns_exactly_the_named_rows(self, tiny_config, kind):
+        """``forward`` returns [B, R, d_hidden]: the full pass's states at
+        the named positions, in order, and nothing else."""
         model, pools = build(tiny_config, seed=23)
-        batch = make_batch(tiny_config, "image_text", 2,
-                           np.random.default_rng(24))
-        rows = sequence_layout("image_text", tiny_config).cls_rows()
-        with no_grad():
-            encoded, _ = model.forward(batch, pools, rows=rows)
-        assert encoded.token_states.shape == (2, 2, tiny_config.d_hidden)
-        assert encoded.cls_visual is not None
-        assert encoded.cls_textual is not None
+        batch = make_batch(tiny_config, kind, 3, np.random.default_rng(24),
+                           text_len=3)
+        lay = sequence_layout(kind, tiny_config)
+        row_sets = {"all": None, "cls": lay.cls_rows()}
+        if lay.text is not None:
+            row_sets["text"] = (lay.text,)
+        if lay.patches is not None:
+            row_sets["image"] = (slice(0, lay.patches.stop),)
+        full, _ = model.forward(batch, pools)
+        assert full.shape == (3, lay.total_len, tiny_config.d_hidden)
+        for name, rows in row_sets.items():
+            got, _ = model.forward(batch, pools, rows=rows)
+            positions = (np.arange(lay.total_len) if rows is None
+                         else np.r_[rows])
+            assert got.shape == (3, positions.size, tiny_config.d_hidden), name
+            # a recording tape keeps every row's bits
+            assert got.data.tobytes() == full.data[:, positions].tobytes(), name
 
     def test_last_layer_ffn_sees_only_kept_rows(self, tiny_config, monkeypatch):
         model, pools = build(tiny_config, seed=25)
@@ -569,12 +576,12 @@ class TestEncoderProperties:
                     for name, sel in probe.selections.items()}
         wsum = np.random.default_rng(14).normal(
             size=(2, tiny_config.d_hidden))
+        rows = probe.layout.cls_rows()
 
         def f():
-            encoded, _ = model.forward(batch, pools, select_override=override)
-            v = ops.mul_const(encoded.cls_visual, wsum)
-            t = ops.mul_const(encoded.cls_textual, wsum)
-            return ops.add(ops.sum(v), ops.sum(t))
+            cls, _ = model.forward(batch, pools, select_override=override,
+                                   rows=rows)
+            return ops.sum(ops.mul_const(cls, wsum[:, None, :]))
 
         params = {
             "text_table": model.text_table,

@@ -97,8 +97,8 @@ class TestRunPretrain:
             model, pools, heads = build_model(small_config)
             restore_state(state, model, pools, heads)
             with no_grad():
-                encoded, _ = model.forward(batch, pools)
-            outs.append(encoded.token_states.data.copy())
+                states, _ = model.forward(batch, pools)
+            outs.append(states.data.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
         assert outs[0].tobytes() == outs[1].tobytes()
 
@@ -370,6 +370,17 @@ class TestConfigTypes:
         field = "lambda_" if key == "lambda" else key
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             ModelConfig.from_dict({**small_config.to_dict(), key: value})
+
+    @pytest.mark.parametrize("extra", [{"lambda_": 0.3},
+                                       {"lambda": 0.5, "lambda_": 0.3}],
+                             ids=["lambda_", "lambda-and-lambda_"])
+    def test_lambda_has_one_json_key(self, extra):
+        """Only ``lambda`` names the contrastive weight in JSON; a second
+        name for it must not silently win over the first."""
+        from dynaprompt.config import ConfigError
+        with pytest.raises(ConfigError, match="unknown config key: 'lambda_'"):
+            ModelConfig.from_dict(extra)
+        assert ModelConfig.from_dict({"lambda": 0.5}).lambda_ == 0.5
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
                                          "1e999"])

@@ -53,23 +53,23 @@ def joint_reference_loss(batch, model, pools, heads, config, corrupted, labels,
         return model.forward(ubatch, pools, select_override=overrides.get(key),
                              rows=rows, pull=True)
 
-    b = batch.size
-    enc_mlm, _ = run("mlm", UnifiedBatch("image_text", corrupted,
-                                         batch.patch_features), (pair.text,))
-    l_mlm, _ = mlm_loss(enc_mlm, labels, heads, pair.text.start)
-    enc_pos, uni_pos = run("itm_pos", batch, pair.cls_rows())
-    enc_neg, _ = run("itm_neg", UnifiedBatch(
+    b, h = batch.size, config.d_hidden
+    text_states, _ = run("mlm", UnifiedBatch("image_text", corrupted,
+                                             batch.patch_features),
+                         (pair.text,))
+    l_mlm, _ = mlm_loss(text_states, labels, heads)
+    cls_pos, uni_pos = run("itm_pos", batch, pair.cls_rows())
+    cls_neg, _ = run("itm_neg", UnifiedBatch(
         "image_text", np.roll(batch.token_ids, -1, axis=0),
         batch.patch_features), pair.cls_rows())
-    l_itm = itm_loss(
-        ops.concat([enc_pos.cls_visual, enc_neg.cls_visual], axis=0),
-        ops.concat([enc_pos.cls_textual, enc_neg.cls_textual], axis=0),
-        np.repeat([1, 0], b), heads)
-    enc_img, _ = run("itc_v", UnifiedBatch(
+    l_itm = itm_loss(ops.concat([cls_pos, cls_neg], axis=0),
+                     np.repeat([1, 0], b), heads)
+    cls_img, _ = run("itc_v", UnifiedBatch(
         "image_only", patch_features=batch.patch_features), image.cls_rows())
-    enc_txt, _ = run("itc_t", UnifiedBatch(
+    cls_txt, _ = run("itc_t", UnifiedBatch(
         "text_only", token_ids=batch.token_ids), text.cls_rows())
-    l_itc = itc_loss(enc_img.cls_visual, enc_txt.cls_textual, heads.temperature)
+    l_itc = itc_loss(ops.reshape(cls_img, (b, h)), ops.reshape(cls_txt, (b, h)),
+                     heads.temperature)
     l_p = surrogate_loss(list(uni_pos.selections.values()), batch_size=b)
     total = ops.add(l_mlm, ops.add(ops.scale(l_itm, config.sigma),
                                    ops.add(ops.scale(l_itc, config.lambda_),
@@ -111,33 +111,35 @@ class TestMlmMasking:
 
 class TestMlmLoss:
     def _encoded(self, config, model, pools, rng):
+        """A batch and the encoder's text rows [B, L_t, d_hidden]."""
         batch = make_batch(config, "image_text", 2, rng)
-        encoded, unified = model.forward(batch, pools)
-        return batch, encoded, unified
+        text = sequence_layout("image_text", config).text
+        text_states, _ = model.forward(batch, pools, rows=(text,))
+        return batch, text_states
 
     def test_perfect_one_hot_logits(self, tiny_config):
         model, pools, heads = build(tiny_config)
         rng = np.random.default_rng(3)
-        batch, encoded, unified = self._encoded(tiny_config, model, pools, rng)
+        batch, text_states = self._encoded(tiny_config, model, pools, rng)
         labels = np.full_like(batch.token_ids, -1)
         labels[0, 1] = 6
 
         # rig the head so the labeled position's logits are one-hot with gap 30
-        state = encoded.token_states.data[0, unified.layout.text.start + 1]
+        state = text_states.data[0, 1]
         heads.mlm_w.data[:] = 0.0
         heads.mlm_b.data[:] = 0.0
         heads.mlm_w.data[:, 6] = 30.0 * state / float(state @ state)
-        loss, count = mlm_loss(encoded, labels, heads, unified.layout.text.start)
+        loss, count = mlm_loss(text_states, labels, heads)
         assert count == 1
         assert loss.item() < 1e-8
 
     def test_uniform_logits_give_log_vocab(self, tiny_config):
         model, pools, heads = build(tiny_config)  # zero-init head -> uniform
         rng = np.random.default_rng(4)
-        batch, encoded, unified = self._encoded(tiny_config, model, pools, rng)
+        batch, text_states = self._encoded(tiny_config, model, pools, rng)
         labels = np.where(np.random.default_rng(5).random(batch.token_ids.shape) < 0.4,
                           batch.token_ids, -1)
-        loss, count = mlm_loss(encoded, labels, heads, unified.layout.text.start)
+        loss, count = mlm_loss(text_states, labels, heads)
         assert count == int(np.sum(labels >= 0))
         assert loss.item() == pytest.approx(math.log(tiny_config.vocab_size), abs=1e-12)
 
@@ -146,15 +148,14 @@ class TestMlmLoss:
         rng = np.random.default_rng(6)
         heads.mlm_w.data[:] = rng.normal(size=heads.mlm_w.shape) * 0.3
         heads.mlm_b.data[:] = rng.normal(size=heads.mlm_b.shape) * 0.1
-        batch, encoded, unified = self._encoded(tiny_config, model, pools, rng)
+        batch, text_states = self._encoded(tiny_config, model, pools, rng)
         labels = np.where(rng.random(batch.token_ids.shape) < 0.5,
                           batch.token_ids, -1)
-        loss, count = mlm_loss(encoded, labels, heads, unified.layout.text.start)
+        loss, count = mlm_loss(text_states, labels, heads)
 
         # oracle: exp-normalize by hand over labeled positions
         lt = tiny_config.max_text_len
-        states = encoded.token_states.data[:, unified.layout.text.start:
-                                           unified.layout.text.start + lt]
+        states = text_states.data
         total, n = 0.0, 0
         for b in range(2):
             for j in range(lt):
@@ -170,27 +171,25 @@ class TestMlmLoss:
     def test_zero_labeled_positions_skip(self, tiny_config):
         model, pools, heads = build(tiny_config)
         rng = np.random.default_rng(7)
-        batch, encoded, unified = self._encoded(tiny_config, model, pools, rng)
-        loss, count = mlm_loss(encoded, np.full_like(batch.token_ids, -1),
-                               heads, unified.layout.text.start)
+        batch, text_states = self._encoded(tiny_config, model, pools, rng)
+        loss, count = mlm_loss(text_states, np.full_like(batch.token_ids, -1),
+                               heads)
         assert count == 0 and loss.item() == 0.0
 
     def test_depends_only_on_labeled_positions(self, tiny_config):
         model, pools, heads = build(tiny_config)
         rng = np.random.default_rng(8)
         heads.mlm_w.data[:] = rng.normal(size=heads.mlm_w.shape) * 0.3
-        batch, encoded, unified = self._encoded(tiny_config, model, pools, rng)
+        batch, text_states = self._encoded(tiny_config, model, pools, rng)
         labels = np.full_like(batch.token_ids, -1)
         labels[0, 0] = 5
-        base, _ = mlm_loss(encoded, labels, heads, unified.layout.text.start)
+        base, _ = mlm_loss(text_states, labels, heads)
 
         # perturb the states at every unlabeled position
-        perturbed = encoded.token_states.data.copy()
-        perturbed[:, unified.layout.text.start + 1:, :] += 123.0
+        perturbed = text_states.data.copy()
+        perturbed[:, 1:, :] += 123.0
         perturbed[1, :, :] -= 55.0
-        from dynaprompt.encoder import EncodedBatch
-        enc2 = EncodedBatch(token_states=Tensor(perturbed))
-        moved, _ = mlm_loss(enc2, labels, heads, unified.layout.text.start)
+        moved, _ = mlm_loss(Tensor(perturbed), labels, heads)
         assert moved.item() == base.item()
 
 
@@ -199,20 +198,18 @@ class TestItmLoss:
         _, _, heads = build(tiny_config)
         rng = np.random.default_rng(9)
         h = tiny_config.d_hidden
-        cls_v = Tensor(rng.normal(size=(1, h)))
-        cls_t = Tensor(rng.normal(size=(1, h)))
-        pair = np.concatenate([cls_v.data, cls_t.data], axis=1)[0]
+        cls_pairs = rng.normal(size=(1, 2, h))
+        pair = cls_pairs.reshape(-1)
         heads.itm_w.data[:, 1] = 20.0 * pair / float(pair @ pair)
         heads.itm_w.data[:, 0] = -20.0 * pair / float(pair @ pair)
-        assert itm_loss(cls_v, cls_t, np.array([1]), heads).item() < 1e-8
+        assert itm_loss(Tensor(cls_pairs), np.array([1]), heads).item() < 1e-8
 
     def test_uniform_logits_give_ln2(self, tiny_config):
         _, _, heads = build(tiny_config)  # zero-init head
         rng = np.random.default_rng(10)
         h = tiny_config.d_hidden
-        cls_v = Tensor(rng.normal(size=(3, h)))
-        cls_t = Tensor(rng.normal(size=(3, h)))
-        got = itm_loss(cls_v, cls_t, np.array([1, 0, 1]), heads).item()
+        cls_pairs = Tensor(rng.normal(size=(3, 2, h)))
+        got = itm_loss(cls_pairs, np.array([1, 0, 1]), heads).item()
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matches_two_class_oracle(self, tiny_config):
@@ -221,12 +218,13 @@ class TestItmLoss:
         h = tiny_config.d_hidden
         heads.itm_w.data[:] = rng.normal(size=(2 * h, 2)) * 0.4
         heads.itm_b.data[:] = rng.normal(size=2) * 0.1
-        cls_v = Tensor(rng.normal(size=(4, h)))
-        cls_t = Tensor(rng.normal(size=(4, h)))
+        cls_v = rng.normal(size=(4, h))
+        cls_t = rng.normal(size=(4, h))
         labels = np.array([1, 0, 0, 1])
-        got = itm_loss(cls_v, cls_t, labels, heads).item()
+        got = itm_loss(Tensor(np.stack([cls_v, cls_t], axis=1)), labels,
+                       heads).item()
 
-        z = (np.concatenate([cls_v.data, cls_t.data], axis=1) @ heads.itm_w.data
+        z = (np.concatenate([cls_v, cls_t], axis=1) @ heads.itm_w.data
              + heads.itm_b.data)
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
@@ -235,9 +233,9 @@ class TestItmLoss:
 
     def test_bad_labels_rejected(self, tiny_config):
         _, _, heads = build(tiny_config)
-        cls = Tensor(np.zeros((2, tiny_config.d_hidden)))
+        cls_pairs = Tensor(np.zeros((2, 2, tiny_config.d_hidden)))
         with pytest.raises(ValueError):
-            itm_loss(cls, cls, np.array([0, 2]), heads)
+            itm_loss(cls_pairs, np.array([0, 2]), heads)
 
 
 class TestItcLoss:
@@ -245,11 +243,11 @@ class TestItcLoss:
         rng = np.random.default_rng(12)
         v = Tensor(rng.normal(size=(1, 8)))
         t = Tensor(rng.normal(size=(1, 8)))
-        assert itc_loss(v, t, 0.07).item() == pytest.approx(0.0, abs=1e-12)
+        assert itc_loss(v, t, Tensor(0.07)).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_embeddings_give_ln2(self):
         x = np.ones((2, 6))
-        got = itc_loss(Tensor(x), Tensor(x.copy()), 0.5).item()
+        got = itc_loss(Tensor(x), Tensor(x.copy()), Tensor(0.5)).item()
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matches_double_softmax_oracle(self):
@@ -267,21 +265,21 @@ class TestItcLoss:
             return -np.mean(np.log(np.diag(p)))
 
         oracle = 0.5 * (ce_rows(sims) + ce_rows(sims.T))
-        got = itc_loss(Tensor(v), Tensor(t), tau).item()
+        got = itc_loss(Tensor(v), Tensor(t), Tensor(tau)).item()
         assert got == pytest.approx(oracle, abs=1e-10)
 
     def test_symmetry_under_swap(self):
         rng = np.random.default_rng(14)
         v = Tensor(rng.normal(size=(5, 7)))
         t = Tensor(rng.normal(size=(5, 7)))
-        a = itc_loss(v, t, 0.07).item()
-        b = itc_loss(t, v, 0.07).item()
+        a = itc_loss(v, t, Tensor(0.07)).item()
+        b = itc_loss(t, v, Tensor(0.07)).item()
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_temperature_must_be_positive(self):
         v = Tensor(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            itc_loss(v, v, 0.0)
+            itc_loss(v, v, Tensor(0.0))
 
     def test_gradients_pass_fd(self):
         rng = np.random.default_rng(15)
@@ -369,7 +367,7 @@ class TestCombinedLoss:
             np.testing.assert_array_equal(got, want)
         assert not np.array_equal(clean, rolled)
 
-    def test_desk_step_records_769_tape_nodes(self, desk_config, monkeypatch):
+    def test_desk_step_records_758_tape_nodes(self, desk_config, monkeypatch):
         model, pools, heads = build(desk_config)
         batch = desk_batch(desk_config)
         counts = []
@@ -383,8 +381,9 @@ class TestCombinedLoss:
         before = len(active_tape().nodes)  # another test's leftovers
         combined_pretrain_loss(batch, model, pools, heads, desk_config,
                                rng=np.random.default_rng(0))
-        assert len(counts) == 3  # one backward per objective group
-        assert sum(counts) - before == 769
+        counts[0] -= before  # another test's leftovers
+        # contrastive, matching with the pull loss, masked-token
+        assert counts == [154, 496, 108]
 
     def test_desk_step_makes_one_selection_per_pool_per_pass(self,
                                                              desk_config,
