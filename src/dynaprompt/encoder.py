@@ -364,12 +364,9 @@ class VisionLanguageModel:
 
     def _prompt_segment(self, selection: SelectionResult, role,
                         proj_w: Tensor, proj_b: Tensor) -> Tensor:
-        blocks = []
-        for row in selection.indices:
-            tok = assemble_prompt_tokens(selection.pool, row, role)
-            blocks.append(ops.reshape(tok, (1,) + tok.shape))
-        block = blocks[0] if len(blocks) == 1 else ops.concat(blocks, axis=0)
-        return ops.linear(block, proj_w, proj_b)
+        return ops.linear(assemble_prompt_tokens(selection.pool,
+                                                 selection.indices, role),
+                          proj_w, proj_b)
 
     def unify_inputs(self, batch: UnifiedBatch, pools: PromptPools,
                      select_override: dict[str, np.ndarray] | None = None,

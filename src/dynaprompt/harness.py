@@ -94,14 +94,29 @@ def _stored(state: dict[str, np.ndarray], name: str, shape) -> np.ndarray:
     return arr
 
 
+def _stored_usage(state: dict[str, np.ndarray], modality: str,
+                  size: int) -> np.ndarray:
+    """A pool's stored usage vector as int64 counts.  Each entry must be a
+    whole number in [0, 2**63): a NaN, negative or fractional count would
+    otherwise be cast to some integer without a word."""
+    name = f"pools.{modality}.usage"
+    usage = _stored(state, name, (size,))
+    with np.errstate(invalid="ignore"):
+        whole = (usage >= 0.0) & (usage < 2.0 ** 63) & (usage == np.floor(usage))
+    if not np.all(whole):
+        bad = float(usage[~whole][0])
+        raise ConfigError(f"checkpoint tensor {name!r} holds {bad!r}, which "
+                          "is not a whole, non-negative count")
+    return usage.astype(np.int64)
+
+
 def restore_state(state: dict[str, np.ndarray], model, pools, heads=None,
                   head: TaskHead | None = None):
     """Load a snapshot back into live objects; geometry must match."""
     for name, p in _named_tensors(model, pools, heads, head).items():
         p.data[...] = _stored(state, name, p.data.shape)
     for pool in (pools.visual, pools.textual):
-        usage = _stored(state, f"pools.{pool.modality}.usage", pool.usage.shape)
-        pool.usage[...] = usage.astype(np.int64)
+        pool.usage[...] = _stored_usage(state, pool.modality, pool.pool_size)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +433,7 @@ def inspect_pool(checkpoint_path, out_dir) -> list[str]:
             ("textual", config.pool_size_t, config.d_text)):
         # the stored config fixes each pool tensor's shape
         keys = _stored(state, f"pools.{modality}.keys", (size, dim))
-        usage = _stored(state, f"pools.{modality}.usage",
-                        (size,)).astype(np.int64)
+        usage = _stored_usage(state, modality, size)
         unit = keys / np.linalg.norm(keys, axis=1, keepdims=True)
         cosine = unit @ unit.T
 

@@ -2,6 +2,7 @@
 
 from .tensor import (
     NumericError,
+    Parts,
     ShapeError,
     Tape,
     TapeConsumedError,
@@ -16,7 +17,7 @@ from . import ops
 from .gradcheck import FdCheckReport, OP_SUITE, fd_check, run_op_suite
 
 __all__ = [
-    "Tensor", "Tape", "backward", "no_grad", "grad_enabled", "record_op",
+    "Tensor", "Tape", "Parts", "backward", "no_grad", "grad_enabled", "record_op",
     "ShapeError", "NumericError", "TapeConsumedError", "flags", "ops",
     "fd_check", "FdCheckReport", "OP_SUITE", "run_op_suite",
 ]

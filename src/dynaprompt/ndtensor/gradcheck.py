@@ -205,6 +205,14 @@ def _case_gather_rows(rng):
                                     ops.gather_rows(a, idx)))), {"a": a}
 
 
+def _case_gather_blocks(rng):
+    values, bias = _leaf(rng, (5, 2, 3)), _leaf(rng, (3,))
+    idx = rng.integers(0, 5, size=(3, 2))
+    c = rng.uniform(-1, 1, size=(3, 4, 3))
+    return (lambda: ops.sum(ops.mul_const(ops.gather_blocks(values, idx, bias),
+                                          c))), {"values": values, "bias": bias}
+
+
 def _case_embedding_lookup(rng):
     t = _leaf(rng, (7, 4))
     ids = rng.integers(0, 7, size=(2, 3))
@@ -251,6 +259,13 @@ def _case_cross_entropy(rng):
     return (lambda: ops.cross_entropy(logits, labels)), {"logits": logits}
 
 
+def _case_cosine_pull(rng):
+    keys, q = _leaf(rng, (6, 4)), _leaf(rng, (3, 4))
+    idx = np.stack([rng.permutation(6)[:2] for _ in range(3)])
+    return (lambda: ops.cosine_pull([(keys, q, idx)], 0.5)), \
+           {"keys": keys, "queries": q}
+
+
 def _case_layernorm(rng):
     x = _leaf(rng, (3, 6))
     g = _leaf(rng, (6,), 0.5, 1.5)
@@ -286,6 +301,7 @@ OP_SUITE: dict = {
     "concat": _case_concat,
     "slice_axis": _case_slice_axis,
     "gather_rows": _case_gather_rows,
+    "gather_blocks": _case_gather_blocks,
     "embedding_lookup": _case_embedding_lookup,
     "sum": _case_sum,
     "mean": _case_mean,
@@ -293,6 +309,7 @@ OP_SUITE: dict = {
     "softmax": _case_softmax,
     "attention": _case_attention,
     "cross_entropy": _case_cross_entropy,
+    "cosine_pull": _case_cosine_pull,
     "layernorm": _case_layernorm,
     "gelu": _case_gelu,
 }

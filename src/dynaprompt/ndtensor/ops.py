@@ -14,7 +14,10 @@ over identical inputs are bit-identical.
 a chain of the ops here, with the same arithmetic in the same order, so they
 equal that chain bit for bit while keeping fewer arrays alive.
 ``linear_rows`` runs ``linear`` at some rows of a sequence and still equals
-it bit for bit there.
+it bit for bit there.  ``gather_blocks`` and ``cosine_pull`` each record as
+one node what would otherwise be a chain per batch row; their rules hand a
+shared input one gradient per row (``Parts``), in the order the chains'
+nodes would, so they too equal the chains bit for bit.
 
 A gradient rule closes over the arrays it reads, plain shapes and
 ``requires_grad`` flags, never over an input tensor (see ``record_op``): an
@@ -25,14 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NumericError, ShapeError, Tensor, grad_enabled, record_op
+from .tensor import (NumericError, Parts, ShapeError, Tensor, grad_enabled,
+                     record_op)
 
 __all__ = [
     "add", "sub", "mul", "div", "scale", "mul_const",
     "pow_const", "sqrt", "matmul", "linear", "linear_rows", "permute",
-    "reshape", "concat", "slice_axis", "gather_rows", "embedding_lookup",
-    "sum", "mean", "rowwise_scale", "softmax", "attention", "cross_entropy",
-    "layernorm", "gelu",
+    "reshape", "concat", "slice_axis", "gather_rows", "gather_blocks",
+    "embedding_lookup", "sum", "mean", "rowwise_scale", "softmax",
+    "attention", "cross_entropy", "cosine_pull", "layernorm", "gelu",
 ]
 
 def _as_tensor(x) -> Tensor:
@@ -341,6 +345,13 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     return record_op(out, (a,), grad_fn)
 
 
+def _check_indices(idx: np.ndarray, extent: int, what: str):
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"{what} indices must be integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= extent):
+        raise IndexError(f"{what} index out of range [0, {extent})")
+
+
 def gather_rows(a, indices) -> Tensor:
     """Select rows of ``a`` along axis 0; ``indices`` may have any shape.
 
@@ -349,10 +360,7 @@ def gather_rows(a, indices) -> Tensor:
     """
     a = _as_tensor(a)
     idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError("gather_rows indices must be integers")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"gather index out of range [0, {a.shape[0]})")
+    _check_indices(idx, a.shape[0], "gather_rows")
     out = Tensor(a.data[idx])
     in_shape = a.shape
 
@@ -362,6 +370,45 @@ def gather_rows(a, indices) -> Tensor:
         return (buf,)
 
     return record_op(out, (a,), grad_fn)
+
+
+def gather_blocks(values, indices, bias) -> Tensor:
+    """Blocks of ``values`` [M, L, D] picked by ``indices`` [B, n], plus
+    ``bias`` [D] on every token: [B, n*L, D], row b holding the blocks
+    ``indices[b]`` in order.
+
+    Per row this is ``gather_rows``, a reshape to [n*L, D] and an ``add``
+    of the bias.  The forward is elementwise, so it equals those rows bit
+    for bit.  The backward hands each input one gradient per row, the last
+    row first, as the per-row nodes would.
+    """
+    values, bias = _as_tensor(values), _as_tensor(bias)
+    idx = np.asarray(indices)
+    if values.ndim != 3 or bias.shape != values.shape[2:] or idx.ndim != 2:
+        raise ShapeError(f"gather_blocks needs values [M, L, D], indices "
+                         f"[B, n] and bias [D], got {list(values.shape)}, "
+                         f"{list(idx.shape)}, {list(bias.shape)}")
+    _check_indices(idx, values.shape[0], "gather_blocks")
+    m, length, d = values.shape
+    b, n = idx.shape
+    y = values.data[idx].reshape(b, n * length, d)
+    y += bias.data
+    out = Tensor(y)
+    rv, rb = values.requires_grad, bias.requires_grad
+
+    def grad_fn(g):
+        gv = gb = None
+        if rv:
+            gv = Parts()
+            for i in range(b - 1, -1, -1):
+                buf = np.zeros((m, length, d))
+                np.add.at(buf, idx[i], g[i].reshape(n, length, d))
+                gv.append(buf)
+        if rb:
+            gb = Parts(g[i].sum(axis=0) for i in range(b - 1, -1, -1))
+        return gv, gb
+
+    return record_op(out, (values, bias), grad_fn)
 
 
 def embedding_lookup(table, ids) -> Tensor:
@@ -541,6 +588,115 @@ def cross_entropy(logits, labels) -> Tensor:
         return (p * (float(g) / n),)
 
     return record_op(out, (logits,), grad_fn)
+
+
+def _pow_half(a: np.ndarray) -> np.ndarray:
+    """``pow_const(a, 0.5)``'s value, with its domain check.  ``a`` must be
+    an ndarray, 0-d included: numpy takes ``sqrt`` for an array's ``** 0.5``
+    but ``pow`` for a scalar's, and the two can differ in the last bit."""
+    if np.any(a <= 0.0):
+        raise NumericError("pow_const(p=0.5) needs strictly positive inputs")
+    return np.asarray(a ** 0.5)
+
+
+def cosine_pull(records, c: float) -> Tensor:
+    """``c`` times the pull of selected keys toward their queries.
+
+    Each record is (keys [M, D], queries [B, D], indices [B, n]).  Row i of
+    a record adds n - sum_j cos(keys[indices[i, j]], queries[i]); a zero
+    query row adds the constant n, with no gradient.  The rows add up in
+    record order, then the sum is scaled by ``c``.
+
+    Per row the forward repeats the numpy calls of the composition
+    ``n - sum(div(matmul(k, q), mul(sqrt(sum(mul(k, k), 1)),
+    sqrt(sum(mul(q, q))))))`` at the same shapes, and the backward each of
+    those ops' gradient rules in reverse, so values and gradients equal the
+    composition's bit for bit.  The node's inputs are each record's keys
+    and queries, the last record first, and each gets one gradient per row,
+    the last row first: a key set or query block that several records share
+    then sums its gradients in the composition's order.  The node keeps
+    copies of the selected key rows, not the key sets, and views of the
+    query rows, which keep the query block alive as the composition did.
+    """
+    c = float(c)
+    taped = grad_enabled()
+    inputs, rules = [], []  # per record, last first
+    total = None
+    for keys, queries, indices in records:
+        keys, queries = _as_tensor(keys), _as_tensor(queries)
+        idx = np.asarray(indices)
+        K, Q = keys.data, queries.data
+        if K.ndim != 2 or Q.ndim != 2 or Q.shape[1] != K.shape[1] \
+                or idx.ndim != 2 or idx.shape[0] != Q.shape[0]:
+            raise ShapeError(f"cosine_pull needs keys [M, D], queries [B, D] "
+                             f"and indices [B, n], got {list(K.shape)}, "
+                             f"{list(Q.shape)}, {list(idx.shape)}")
+        _check_indices(idx, K.shape[0], "cosine_pull")
+        d = K.shape[1]
+        rk = taped and keys.requires_grad
+        rq = taped and queries.requires_grad
+        live = []  # what the backward of each row with a gradient reads
+        for i, row in enumerate(idx):
+            n = len(row)
+            if float(np.linalg.norm(Q[i])) == 0.0:
+                term = np.asarray(float(n))
+            else:
+                q = np.ascontiguousarray(Q[i:i + 1]).reshape(d)
+                ks = K[row]
+                dots = np.matmul(ks, q.reshape(d, 1)).reshape(n)
+                s = np.sum(ks * ks, axis=1)
+                kn = _pow_half(s)
+                sq = np.asarray(np.sum(q * q))
+                qn = _pow_half(sq)
+                den = kn * qn
+                term = np.asarray(float(n)) - np.asarray(np.sum(dots / den))
+                if rk or rq:
+                    live.append((i, row, q, ks, dots, s, kn, sq, qn, den))
+            total = term if total is None else np.asarray(total + term)
+        inputs[:0] = (keys, queries)
+        rules.insert(0, (live, rk, rq, K.shape, Q.shape))
+    if total is None:
+        raise ShapeError("cosine_pull over no rows")
+    out = Tensor(total * c)
+
+    def grad_fn(g):
+        g = -(g * c)  # scale, the adds of the rows, n - sum(cos)
+        grads = []
+        for live, rk, rq, k_shape, q_shape in rules:
+            gk, gq = Parts() if rk else None, Parts() if rq else None
+            for i, row, q, ks, dots, s, kn, sq, qn, den in reversed(live):
+                n, d = ks.shape
+                gc = np.broadcast_to(g, (n,)).copy()  # sum(cos)
+                g_dots = (gc / den).reshape((n, 1))  # div, reshape
+                g_den = -gc * dots / (den * den)
+                if rk:
+                    # mul(kn, qn), sqrt, sum over axis 1, mul(k, k), matmul
+                    g_s = g_den * qn * 0.5 * s ** (0.5 - 1.0)
+                    g_kk = np.broadcast_to(np.expand_dims(g_s, 1),
+                                           (n, d)).copy()
+                    g_ks = g_kk * ks + g_kk * ks
+                    g_ks = g_ks + np.matmul(g_dots,
+                                            q.reshape(d, 1).swapaxes(-1, -2))
+                    buf = np.zeros(k_shape)  # gather_rows
+                    np.add.at(buf, row, g_ks)
+                    gk.append(buf)
+                if rq:
+                    # mul(kn, qn), sqrt, sum, mul(q, q), matmul
+                    g_qn = (g_den * kn).sum(axis=(0,))
+                    g_qq = np.broadcast_to(g_qn * 0.5 * sq ** (0.5 - 1.0),
+                                           (d,)).copy()
+                    g_q = g_qq * q + g_qq * q
+                    g_q = g_q + np.matmul(ks.swapaxes(-1, -2),
+                                          g_dots).reshape(d)
+                    buf = np.zeros(q_shape)  # slice_axis at row i
+                    buf[i:i + 1] = g_q.reshape((1, d))
+                    gq.append(buf)
+            grads += (gk, gq)
+        return grads
+
+    if not any(rule[0] for rule in rules):  # no row has a gradient
+        return out
+    return record_op(out, tuple(inputs), grad_fn)
 
 
 def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:

@@ -35,6 +35,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
+    "Parts",
     "backward",
     "no_grad",
     "grad_enabled",
@@ -168,11 +169,21 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}{flag})"
 
 
+class Parts(list):
+    """Several gradient contributions for one input, in the order in which
+    separate nodes would hand them over.  ``backward`` adds them one at a
+    time, so one node that stands for a chain of ops sums into a shared
+    input exactly as the chain's nodes would."""
+
+    __slots__ = ()
+
+
 def record_op(out: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
     """Register a differentiable op on the active tape.
 
-    ``grad_fn(out_grad) -> [in_grad | None, ...]`` returns one gradient array
-    per input, aligned positionally.  Recording happens only when gradients
+    ``grad_fn(out_grad) -> [in_grad | None, ...]`` returns, per input and
+    aligned positionally, one gradient array, a :class:`Parts` of several
+    to be added in turn, or None.  Recording happens only when gradients
     are enabled and at least one input requires them.  ``grad_fn`` must close
     over the arrays it reads, never over the input tensors: the node keeps
     each input's producing node, so an intermediate tensor's value is freed
@@ -193,7 +204,9 @@ def backward(loss: Tensor):
 
     The loss must be scalar.  Its tape is traversed strictly in reverse
     creation order and marked consumed; a constant loss (no tape node) is a
-    no-op, leaving all gradients untouched (i.e. zero).
+    no-op, leaving all gradients untouched (i.e. zero).  A rule's
+    :class:`Parts` are added to their input one by one, in order, as if
+    each came from a node of its own.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -217,12 +230,16 @@ def backward(loss: Tensor):
         for src, ig in zip(inputs, grad_fn(g)):
             if ig is None:
                 continue
+            parts = ig if type(ig) is Parts else (ig,)
             if type(src) is TapeNode:
                 if src.tape is tape:
-                    src.grad = ig if src.grad is None else src.grad + ig
+                    for part in parts:
+                        src.grad = part if src.grad is None else src.grad + part
                 # else: produced on a consumed tape -> constant here
             elif src.requires_grad:
-                src.grad = ig.copy() if src.grad is None else src.grad + ig
+                for part in parts:
+                    src.grad = (part.copy() if src.grad is None
+                                else src.grad + part)
     tape.nodes.clear()
 
 

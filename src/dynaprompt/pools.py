@@ -10,10 +10,11 @@ loss that draws selected keys toward their queries.
 
 ``select_prompts`` ranks a [B, D] query block in one call, and its one
 ``SelectionResult`` holds [B, n_sel] indices and similarities.  Each row
-equals a one-row call's bit for bit.  The taped consumers,
-``assemble_prompt_tokens`` and ``surrogate_loss``, still work one row at a
-time: batching them would reorder the gradient sums into the pool values,
-role embeddings and keys.
+equals a one-row call's bit for bit.  The taped consumers each record one
+node for the whole block: ``assemble_prompt_tokens`` through
+``ops.gather_blocks`` and ``surrogate_loss`` through ``ops.cosine_pull``.
+Both hand the pool values, role embeddings and keys their gradients row by
+row, in the order a chain of per-row ops would, so the sums are the same.
 """
 
 from __future__ import annotations
@@ -187,51 +188,32 @@ def surrogate_loss(selections: list[SelectionResult],
     """Pull selected keys toward their queries: sum of (1 - cos), batch-averaged.
 
     Minimizing this drives each chosen key's direction onto its query.  The
-    terms run row by row over each record in turn.  The divisor defaults to
-    the number of rows; pass the batch size when a batch contributes several
-    records.  Degenerate (zero-norm) queries contribute the constant
-    worst-case value with zero gradient.
+    terms add up row by row over each record in turn, in one
+    ``ops.cosine_pull`` node.  The divisor defaults to the number of rows;
+    pass the batch size when a batch contributes several records.
+    Degenerate (zero-norm) queries contribute the constant worst-case value
+    with zero gradient.
     """
     if not selections:
         raise ValueError("surrogate_loss on an empty selection list")
     if batch_size is None:
         batch_size = sum(len(sel.indices) for sel in selections)
-    total = None
-    for sel in selections:
-        pool = sel.pool
-        for i, row in enumerate(sel.indices):
-            n = len(row)
-            if float(np.linalg.norm(sel.query.data[i])) == 0.0:
-                term = Tensor(float(n))
-            else:
-                q = ops.reshape(ops.slice_axis(sel.query, 0, i, i + 1),
-                                (pool.key_dim,))
-                keys_sel = ops.gather_rows(pool.keys, row)
-                dots = ops.reshape(ops.matmul(keys_sel,
-                                              ops.reshape(q, (pool.key_dim, 1))),
-                                   (n,))
-                kn = ops.sqrt(ops.sum(ops.mul(keys_sel, keys_sel), axis=1))
-                qn = ops.sqrt(ops.sum(ops.mul(q, q)))
-                cos = ops.div(dots, ops.mul(kn, qn))
-                term = ops.sub(Tensor(float(n)), ops.sum(cos))
-            total = term if total is None else ops.add(total, term)
-    return ops.scale(total, 1.0 / batch_size)
+    return ops.cosine_pull([(sel.pool.keys, sel.query, sel.indices)
+                            for sel in selections], 1.0 / batch_size)
 
 
 def assemble_prompt_tokens(pool: PromptPool, indices: np.ndarray,
                            role: str) -> Tensor:
-    """Concatenate one row's selected value blocks (in ``indices`` order)
+    """Each row's selected value blocks (``indices`` [B, n_sel], in order)
     plus a role tag.
 
-    Output is [n_sel * prompt_len, key_dim]; the role embedding is added to
-    every token so the encoder can tell visual-context prompts from
+    Output is [B, n_sel * prompt_len, key_dim]; the role embedding is added
+    to every token so the encoder can tell visual-context prompts from
     textual-context ones.
     """
     if role not in pool.role_embeddings:
         raise ConfigError(f"unknown role {role!r}")
-    gathered = ops.gather_rows(pool.values, indices)
-    flat = ops.reshape(gathered, (len(indices) * pool.prompt_len, pool.key_dim))
-    return ops.add(flat, pool.role_embeddings[role])
+    return ops.gather_blocks(pool.values, indices, pool.role_embeddings[role])
 
 
 class PromptPools:

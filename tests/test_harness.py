@@ -327,7 +327,14 @@ class TestInspectPool:
         ("pools.textual.keys", None, "lacks tensor 'pools.textual.keys'"),
         ("pools.visual.keys", lambda keys: keys[:, :3],
          r"geometry mismatch for 'pools.visual.keys': \[8, 3\] vs \[8, 8\]"),
-    ], ids=["no_visual_usage", "no_textual_keys", "narrow_visual_keys"])
+        ("pools.visual.usage", lambda u: np.where(np.arange(8) == 2, np.nan, u),
+         "'pools.visual.usage' holds nan"),
+        ("pools.textual.usage", lambda u: np.where(np.arange(8) == 0, -5.0, u),
+         "'pools.textual.usage' holds -5.0"),
+        ("pools.visual.usage", lambda u: np.where(np.arange(8) == 7, 2.5, u),
+         "'pools.visual.usage' holds 2.5"),
+    ], ids=["no_visual_usage", "no_textual_keys", "narrow_visual_keys",
+            "nan_usage", "negative_usage", "fractional_usage"])
     def test_damaged_pool_tensor_is_config_error(self, tiny_config, tmp_path,
                                                  capsys, name, damage, match):
         state = gather_state(*build_model(tiny_config))
@@ -454,15 +461,19 @@ class TestCli:
         assert "lr must be finite" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("usage", ["missing", "length 3"])
+    @pytest.mark.parametrize("usage", ["missing", "length 3", "nan",
+                                       "negative", "fractional"])
     def test_bad_usage_vector_in_checkpoint_exits_one(self, small_config,
                                                       tmp_path, usage, capsys):
         model, pools, _ = build_model(small_config)
         state = gather_state(model, pools)
         if usage == "missing":
             del state["pools.visual.usage"]
-        else:
+        elif usage == "length 3":
             state["pools.visual.usage"] = np.zeros(3)
+        else:
+            bad = {"nan": np.nan, "negative": -5.0, "fractional": 2.5}[usage]
+            state["pools.visual.usage"][1] = bad
         ckpt = tmp_path / "bad.ckpt"
         save_checkpoint(ckpt, small_config, state)
         cfg_path = self._write_config(tmp_path / "c.json", small_config)

@@ -24,9 +24,10 @@ from dynaprompt.objectives import (
     pretrain_step,
 )
 from dynaprompt.optim import AdamW
-from dynaprompt.pools import PromptPools, surrogate_loss
+from dynaprompt.pools import PromptPools
 from tests.conftest import drop_caller_rows, make_batch, traced_peak_mib
 from tests.golden import assert_golden
+from tests.row_oracles import rows_surrogate_loss
 
 
 def build(config, seed=0):
@@ -45,7 +46,7 @@ def joint_reference_loss(batch, model, pools, heads, config, corrupted, labels,
                          overrides):
     """The four objectives on one tape, consumed by one backward: masked,
     paired, deranged, image-only and text-only passes with every selection
-    query recorded, then the pull loss and the total."""
+    query recorded, then the per-row pull loss and the total."""
     pair, image, text = (sequence_layout(kind, config) for kind in
                          ("image_text", "image_only", "text_only"))
 
@@ -70,7 +71,7 @@ def joint_reference_loss(batch, model, pools, heads, config, corrupted, labels,
         "text_only", token_ids=batch.token_ids), text.cls_rows())
     l_itc = itc_loss(ops.reshape(cls_img, (b, h)), ops.reshape(cls_txt, (b, h)),
                      heads.temperature)
-    l_p = surrogate_loss(list(uni_pos.selections.values()), batch_size=b)
+    l_p = rows_surrogate_loss(list(uni_pos.selections.values()), b)
     total = ops.add(l_mlm, ops.add(ops.scale(l_itm, config.sigma),
                                    ops.add(ops.scale(l_itc, config.lambda_),
                                            ops.scale(l_p, config.beta))))
@@ -367,7 +368,7 @@ class TestCombinedLoss:
             np.testing.assert_array_equal(got, want)
         assert not np.array_equal(clean, rolled)
 
-    def test_desk_step_records_758_tape_nodes(self, desk_config, monkeypatch):
+    def test_desk_step_records_231_tape_nodes(self, desk_config, monkeypatch):
         model, pools, heads = build(desk_config)
         batch = desk_batch(desk_config)
         counts = []
@@ -383,7 +384,7 @@ class TestCombinedLoss:
                                rng=np.random.default_rng(0))
         counts[0] -= before  # another test's leftovers
         # contrastive, matching with the pull loss, masked-token
-        assert counts == [154, 496, 108]
+        assert counts == [90, 97, 44]
 
     def test_desk_step_makes_one_selection_per_pool_per_pass(self,
                                                              desk_config,

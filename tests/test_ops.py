@@ -24,6 +24,7 @@ from dynaprompt.ndtensor import (
 )
 from dynaprompt.ndtensor.gradcheck import OP_SUITE
 from dynaprompt.objectives import combined_pretrain_loss
+from tests.row_oracles import rows_cosine_pull, rows_gather_blocks
 
 
 class TestMatmul:
@@ -170,6 +171,179 @@ class TestPlumbingOps:
     def test_broadcast_restricted_to_leading_axes(self):
         with pytest.raises(ShapeError):
             ops.add(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 1))))
+
+
+def run_fused_and_rows(loss_fn, leaves):
+    """``loss_fn(rows)`` builds a scalar loss through the per-row oracle
+    when ``rows`` is true, else through the fused op.  Each is run from
+    cleared gradients and gives the loss bytes, whether the loss is a
+    constant, and each leaf's gradient bytes (None where it got none)."""
+    out = []
+    for rows in (False, True):
+        for t in leaves:
+            t.grad = None
+        loss = loss_fn(rows)
+        constant = loss.tape_node is None
+        backward(loss)
+        out.append((loss.data.tobytes(), constant,
+                    [None if t.grad is None else t.grad.tobytes()
+                     for t in leaves]))
+    return out
+
+
+class TestGatherBlocksMatchesRows:
+    """``gather_blocks`` equals the per-row gather, reshape and add joined
+    by a concat, bit for bit in the value and every gradient."""
+
+    @pytest.mark.parametrize("b", [1, 7, 64])
+    @pytest.mark.parametrize("frozen", [None, "values", "bias"])
+    @pytest.mark.parametrize("through_node", [False, True])
+    def test_value_and_gradients_bitwise(self, b, frozen, through_node):
+        rng = np.random.default_rng(b)
+        values = Tensor(rng.normal(size=(9, 4, 5)), frozen != "values")
+        bias = Tensor(rng.normal(size=(5,)), frozen != "bias")
+        idx = rng.integers(0, 9, size=(b, 3))
+        if b > 1:  # entries repeat across rows
+            assert len(np.unique(idx)) < idx.size
+        w = rng.normal(size=(b, 12, 5))
+
+        def loss(rows):
+            v, r = values, bias
+            if through_node:  # inputs with a producer, not leaves
+                v, r = ops.scale(values, 1.0), ops.scale(bias, 1.0)
+            f = rows_gather_blocks if rows else ops.gather_blocks
+            return ops.sum(ops.mul_const(f(v, idx, r), w))
+
+        fused, rows = run_fused_and_rows(loss, [values, bias])
+        assert fused == rows
+        assert all((g is None) == (t is frozen) for g, t in
+                   zip(fused[2], ("values", "bias")))
+
+    def test_one_node_and_shape_checks(self):
+        values = Tensor(np.ones((4, 2, 3)), requires_grad=True)
+        bias = Tensor(np.zeros(3), requires_grad=True)
+        out = ops.gather_blocks(values, [[0, 3], [3, 1]], bias)
+        assert out.shape == (2, 4, 3)
+        assert out.tape_node.tape.nodes[-1] is out.tape_node
+        assert out.tape_node.inputs == (values, bias)
+        with pytest.raises(ShapeError):
+            ops.gather_blocks(values, [0, 3], bias)
+        with pytest.raises(IndexError):
+            ops.gather_blocks(values, [[0, 4]], bias)
+
+
+def _pull_records(rng, b, zero_rows=()):
+    """Two records of ``b`` rows over two key sets of 10 keys; the
+    ``zero_rows`` of each query block are zero."""
+    records = []
+    for _ in range(2):
+        keys = Tensor(rng.normal(size=(10, 6)), requires_grad=True)
+        q = rng.normal(size=(b, 6))
+        q[list(zero_rows)] = 0.0
+        idx = np.stack([rng.permutation(10)[:3] for _ in range(b)])
+        records.append((keys, Tensor(q, requires_grad=True), idx))
+    return records
+
+
+class TestCosinePullMatchesRows:
+    """``cosine_pull`` equals the per-row chain of slice, gather, matmul,
+    mul, sum, sqrt, div, sub and add, bit for bit in the value and every
+    gradient."""
+
+    @staticmethod
+    def check(records, c=0.125, through_node=False):
+        leaves = [t for keys, q, _ in records for t in (keys, q)]
+
+        def loss(rows):
+            recs = records
+            if through_node:  # queries with a producer, as in pre-training
+                recs = [(k, ops.scale(q, 1.0), i) for k, q, i in records]
+            return (rows_cosine_pull if rows else ops.cosine_pull)(recs, c)
+
+        fused, rows = run_fused_and_rows(loss, leaves)
+        assert fused == rows
+        return fused
+
+    @pytest.mark.parametrize("b", [1, 7, 64])
+    @pytest.mark.parametrize("through_node", [False, True])
+    def test_value_and_gradients_bitwise(self, b, through_node):
+        rng = np.random.default_rng(b)
+        zero = (0,) if b == 1 else (2, b - 1)
+        records = _pull_records(rng, b) + _pull_records(rng, b, zero)
+        _, constant, grads = self.check(records, 1.0 / b, through_node)
+        # with one row, the second pair of records holds only zero queries
+        live = grads if b > 1 else grads[:4]
+        assert not constant and all(g is not None for g in live)
+
+    def test_shared_keys_and_queries_sum_in_row_order(self):
+        rng = np.random.default_rng(3)
+        (keys, q, idx), _ = _pull_records(rng, 7, (4,))
+        other = np.stack([rng.permutation(10)[:3] for _ in range(7)])
+        self.check([(keys, q, idx), (keys, q, other)])
+
+    def test_thousand_rows_over_six_decades_of_norm(self):
+        # numpy's ** 0.5 takes sqrt on an array, 0-d included, and pow on a
+        # scalar; the two differ in the last bit on about one squared norm
+        # in a thousand (** -0.5 on about one in twenty), so rows where they
+        # differ are drawn and added to the random ones
+        rng = np.random.default_rng(11)
+        rows = rng.normal(size=(1000, 32))
+        rows *= 10.0 ** rng.uniform(-3, 3, size=(1000, 1))
+        rows[17] = 0.0
+        split = [r for r in rng.normal(size=(20000, 32))
+                 if np.sqrt(np.sum(r * r)) != np.float64(np.sum(r * r)) ** 0.5]
+        assert split
+        queries = Tensor(np.vstack([rows] + split), requires_grad=True)
+        keys = Tensor(rng.normal(size=(64, 32)), requires_grad=True)
+        idx = np.stack([rng.permutation(64)[:5] for _ in queries.data])
+        self.check([(keys, queries, idx)], 1.0 / len(idx))
+
+    def test_every_row_degenerate_is_a_constant(self):
+        rng = np.random.default_rng(5)
+        records = _pull_records(rng, 4, range(4))
+        value, constant, grads = self.check(records)
+        assert constant and grads == [None] * 4
+        assert np.frombuffer(value)[0] == 0.125 * 2 * 4 * 3
+
+    @pytest.mark.parametrize("off", ["frozen_keys", "constant_query",
+                                     "consumed_tape_query"])
+    def test_inputs_off_the_tape(self, off):
+        rng = np.random.default_rng(7)
+        records = _pull_records(rng, 7, (3,))
+        keys, q, idx = records[0]
+        if off == "frozen_keys":
+            keys.requires_grad = False
+        elif off == "constant_query":
+            q.requires_grad = False
+        else:  # its producer's tape is consumed, so it is a constant here
+            q = ops.scale(q, 1.0)
+            backward(ops.sum(q))
+            assert q.requires_grad
+        records[0] = (keys, q, idx)
+        _, _, grads = self.check(records)
+        got = grads[0] is not None, grads[1] is not None
+        assert got == {"frozen_keys": (False, True),
+                       "constant_query": (True, False),
+                       "consumed_tape_query": (True, False)}[off]
+
+    def test_one_node(self):
+        rng = np.random.default_rng(2)
+        records = _pull_records(rng, 5, (1,))
+        loss = ops.cosine_pull(records, 0.5)
+        assert loss.tape_node.tape.nodes[-1] is loss.tape_node
+        # the last record's inputs first, as its chain comes last on a tape
+        assert loss.tape_node.inputs == tuple(
+            t for keys, q, _ in records[::-1] for t in (keys, q))
+
+    def test_zero_key_and_empty_rows_rejected(self):
+        keys = Tensor(np.eye(3))
+        keys.data[1] = 0.0
+        q = Tensor(np.ones((1, 3)))
+        with pytest.raises(NumericError):
+            ops.cosine_pull([(keys, q, [[0, 1]])], 1.0)
+        with pytest.raises(ShapeError):
+            ops.cosine_pull([(keys, Tensor(np.ones((0, 3))),
+                              np.zeros((0, 2), dtype=int))], 1.0)
 
 
 class TestOpSuiteGradients:

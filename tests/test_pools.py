@@ -308,26 +308,28 @@ class TestSurrogateLoss:
 class TestAssemblePromptTokens:
     def test_output_shape(self):
         pool = make_pool(pool_size=5, key_dim=4, prompt_len=2)
-        sel = select_prompts(pool, Tensor(np.ones((1, 4))), 1)
-        out = assemble_prompt_tokens(pool, sel.indices[0], RoleTag.VISUAL_CONTEXT)
-        assert out.shape == (2, 4)
+        sel = select_prompts(pool, Tensor(np.ones((3, 4))), 1)
+        out = assemble_prompt_tokens(pool, sel.indices, RoleTag.VISUAL_CONTEXT)
+        assert out.shape == (3, 2, 4)
 
     def test_zero_role_embedding_is_identity(self):
         pool = make_pool(pool_size=5, key_dim=4, prompt_len=2, seed=14)
         pool.role_embeddings[RoleTag.TEXTUAL_CONTEXT].data[:] = 0.0
         sel = select_prompts(pool, Tensor(np.ones((1, 4))), 2)
-        out = assemble_prompt_tokens(pool, sel.indices[0], RoleTag.TEXTUAL_CONTEXT)
-        expected = pool.values.data[sel.indices[0]].reshape(4, 4)
+        out = assemble_prompt_tokens(pool, sel.indices, RoleTag.TEXTUAL_CONTEXT)
+        expected = pool.values.data[sel.indices].reshape(1, 4, 4)
         np.testing.assert_array_equal(out.data, expected)
 
     def test_matches_gather_then_add_oracle(self):
         pool = make_pool(pool_size=9, key_dim=5, prompt_len=4, seed=15)
-        sel = select_prompts(pool, Tensor(np.random.default_rng(16).normal(size=(1, 5))), 3)
+        queries = Tensor(np.random.default_rng(16).normal(size=(2, 5)))
+        sel = select_prompts(pool, queries, 3)
         role = RoleTag.VISUAL_CONTEXT
-        oracle = (pool.values.data[sel.indices[0]].reshape(12, 5)
-                  + pool.role_embeddings[role].data)
-        out = assemble_prompt_tokens(pool, sel.indices[0], role)
-        np.testing.assert_allclose(out.data, oracle, atol=1e-12)
+        out = assemble_prompt_tokens(pool, sel.indices, role)
+        for i, row in enumerate(sel.indices):
+            oracle = (pool.values.data[row].reshape(12, 5)
+                      + pool.role_embeddings[role].data)
+            np.testing.assert_allclose(out.data[i], oracle, atol=1e-12)
 
     def test_exactly_two_role_embeddings_per_pool(self):
         pool = make_pool()

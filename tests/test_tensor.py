@@ -10,6 +10,7 @@ import pytest
 from dynaprompt import harness
 from dynaprompt.ndtensor import (
     NumericError,
+    Parts,
     ShapeError,
     TapeConsumedError,
     Tensor,
@@ -97,6 +98,19 @@ class TestBackward:
         with no_grad():
             y = ops.mul(x, x)
         assert y.tape_node is None and not y.requires_grad
+
+    def test_parts_add_in_order_like_separate_nodes(self):
+        # (1e16 - 1e16) + 1 is 1.0; any other order rounds the 1 away
+        def parts():
+            return Parts(np.full(2, v) for v in (1e16, -1e16, 1.0))
+
+        x = Tensor(np.zeros(2), requires_grad=True)
+        y = Tensor(np.zeros(2), requires_grad=True)
+        h = ops.scale(y, 1.0)  # a pending slot, not a leaf
+        out = record_op(Tensor(0.0), (x, h), lambda g: (parts(), parts()))
+        backward(out)
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
 
     def test_mlp_loss_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -203,6 +217,9 @@ RETENTION = {
     "slice_axis": ([(3, 4)], lambda a: ops.slice_axis(a, 1, 1, 3), (False,)),
     "gather_rows": ([(5, 3)], lambda a: ops.gather_rows(a, [[4, 0], [4, 2]]),
                     (False,)),
+    "gather_blocks": ([(5, 2, 3), (3,)],
+                      lambda v, b: ops.gather_blocks(v, [[4, 0], [4, 2]], b),
+                      (False, False)),
     "embedding_lookup": ([(5, 3)],
                          lambda t: ops.embedding_lookup(t, [1, 1, 3]),
                          (False,)),
@@ -215,6 +232,10 @@ RETENTION = {
                   (True, True, True)),
     "cross_entropy": ([(3, 4)], lambda z: ops.cross_entropy(z, [0, 3, 1]),
                       (True,)),
+    "cosine_pull": ([(6, 3), (2, 3)],
+                    lambda k, q: ops.cosine_pull([(k, q, [[0, 4], [4, 1]])],
+                                                 0.5),
+                    (False, True)),
     "layernorm": ([(3, 4), (4,), (4,)], ops.layernorm, (False, True, False)),
     "gelu": ([(3, 4)], ops.gelu, (False,)),
 }
